@@ -1,8 +1,5 @@
 #include "src/cli/bench_registry.h"
 
-#include <sys/wait.h>
-
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -114,6 +111,53 @@ BenchReport RunMicroCosts(const BenchParams& params) {
     report.metrics.push_back(
         {"memcached_sim_cycles_per_step",
          static_cast<double>(machine.MaxClock()) / static_cast<double>(steps), "cycles"});
+  }
+
+  // One core recording accesses through an attached IBS unit: the per-access
+  // cost of the PMU hook path, sample interrupts included.
+  {
+    auto rig = MakeRig(1, params.seed);
+    Machine& machine = *rig->machine;
+    IbsConfig ibs_config;
+    ibs_config.period_ops = 100;
+    IbsUnit ibs(1, ibs_config);
+    machine.AddPmuHook(&ibs);
+    CoreContext ctx = machine.Context(0);
+    const double ns = TimePerOp(Scaled(params.scale, 1'000'000),
+                                [&](uint64_t i) { ctx.Read(0, 0x1000 + i * 64, 8); });
+    report.metrics.push_back({"ibs_sampled_access", ns, "ns/op"});
+  }
+
+  // Path-trace construction over 32 sweeps x 16 offsets of synthetic
+  // six-element histories (the history phase's view-building step).
+  {
+    AccessSampleTable samples;
+    std::vector<ObjectHistory> histories;
+    Rng rng(params.seed);
+    for (uint32_t sweep = 0; sweep < 32; ++sweep) {
+      for (uint32_t off = 0; off < 64; off += 4) {
+        ObjectHistory h;
+        h.type = 1;
+        h.sweep = sweep;
+        h.complete = true;
+        h.watch_offsets[0] = off;
+        for (int i = 0; i < 6; ++i) {
+          HistoryElement e;
+          e.offset = off;
+          e.ip = static_cast<FunctionId>(rng.Below(8));
+          e.cpu = static_cast<uint16_t>(rng.Below(2));
+          e.time = static_cast<uint64_t>(i) * 100 + rng.Below(20);
+          h.elements.push_back(e);
+        }
+        h.end_time = h.elements.back().time + 10;
+        histories.push_back(std::move(h));
+      }
+    }
+    volatile size_t sink = 0;
+    const double ns = TimePerOp(Scaled(params.scale, 200), [&](uint64_t) {
+      sink = PathTraceBuilder::Build(1, histories, samples).size();
+    });
+    report.metrics.push_back({"path_trace_build", ns, "ns/op"});
   }
 
   const IbsConfig ibs;
@@ -291,82 +335,81 @@ BenchReport RunHierarchyBench(const BenchParams& params) {
   return report;
 }
 
-// Simulated memcached throughput, stock vs. the paper's core-local tx fix.
-// Runs on the epoch engine (the default execution strategy everywhere
-// else); with no profiling session attached every epoch qualifies for
-// record elision, so this is the "profiling off is free" operating point.
+// Installs the rig's workload and measures its steady-state throughput on
+// the epoch engine (the default execution strategy everywhere else). With
+// no profiling session attached every epoch qualifies for record elision,
+// so this is the "profiling off is free" operating point.
+double EngineSteadyStateRps(ScenarioRig& rig, uint64_t warm, uint64_t measure) {
+  Machine& machine = *rig.machine;
+  rig.workload->Install(machine);
+  Engine engine(&machine, EngineConfig{});
+  machine.SetExecutor(&engine);
+  const double rps = SteadyStateRps(machine, *rig.workload, warm, measure);
+  machine.SetExecutor(nullptr);
+  return rps;
+}
+
+// Both arms of a case-study comparison come from the registered scenario
+// factory, with the fix expressed as the RunSpec option the CLI exposes —
+// the construction path `dprof run` and `dprof whatif` use.
+double ScenarioRps(const char* scenario, const RunSpec& spec, uint64_t warm, uint64_t measure) {
+  const ScenarioInfo* info = ScenarioRegistry::Default().Find(scenario);
+  DPROF_CHECK(info != nullptr);
+  auto rig = info->factory(spec);
+  return EngineSteadyStateRps(*rig, warm, measure);
+}
+
+// The paper's headline gain (§6.1, §6.2, §8): fixing the diagnosed bug
+// improves throughput by 16-57%.
+void PushImprovement(BenchReport* report, double before_rps, double after_rps) {
+  report->metrics.push_back({"improvement_pct", 100.0 * (after_rps - before_rps) / before_rps,
+                             "%"});
+}
+
+// Simulated memcached throughput, stock vs. the paper's core-local tx fix
+// (paper §6.1.1: +57%).
 BenchReport RunMemcachedThroughput(const BenchParams& params) {
   BenchReport report;
   report.bench = "memcached_throughput";
   const uint64_t warm = Scaled(params.scale, 10'000'000);
   const uint64_t measure = Scaled(params.scale, 40'000'000);
-  // Both arms come from the registered scenario factory, with the fix
-  // expressed as the RunSpec option the CLI exposes (--local-tx-queue).
-  const ScenarioInfo* info = ScenarioRegistry::Default().Find("memcached");
-  DPROF_CHECK(info != nullptr);
-  for (const bool fixed : {false, true}) {
-    RunSpec spec;
-    spec.cores = 16;
-    spec.seed = params.seed;
-    spec.local_tx_queue = fixed;
-    auto rig = info->factory(spec);
-    Machine& machine = *rig->machine;
-    rig->workload->Install(machine);
-    Engine engine(&machine, EngineConfig{});
-    machine.SetExecutor(&engine);
-    machine.RunFor(warm);
-    rig->workload->ResetStats();
-    const uint64_t start = machine.MaxClock();
-    machine.RunFor(measure);
-    const double rps =
-        ThroughputRps(rig->workload->CompletedRequests(), machine.MaxClock() - start);
-    report.metrics.push_back(
-        {fixed ? "fixed_rps" : "stock_rps", rps, "req/s"});
-    machine.SetExecutor(nullptr);
-  }
+  RunSpec spec;
+  spec.cores = 16;
+  spec.seed = params.seed;
+  const double stock = ScenarioRps("memcached", spec, warm, measure);
+  spec.local_tx_queue = true;
+  const double fixed = ScenarioRps("memcached", spec, warm, measure);
+  report.metrics.push_back({"stock_rps", stock, "req/s"});
+  report.metrics.push_back({"fixed_rps", fixed, "req/s"});
+  PushImprovement(&report, stock, fixed);
   return report;
 }
 
-// Simulated Apache throughput at the paper's three operating points. On the
-// epoch engine, like the memcached throughput bench above.
+// Simulated Apache throughput at the paper's three operating points, and
+// the gain of accept-queue admission control over the drop-off (paper
+// §6.2.1: +16%).
 BenchReport RunApacheThroughput(const BenchParams& params) {
   BenchReport report;
   report.bench = "apache_throughput";
   const uint64_t warm = Scaled(params.scale, 10'000'000);
   const uint64_t measure = Scaled(params.scale, 40'000'000);
-  auto measure_workload = [&](Workload& workload, Machine& machine) {
-    workload.Install(machine);
-    Engine engine(&machine, EngineConfig{});
-    machine.SetExecutor(&engine);
-    machine.RunFor(warm);
-    workload.ResetStats();
-    const uint64_t start = machine.MaxClock();
-    machine.RunFor(measure);
-    const double rps =
-        ThroughputRps(workload.CompletedRequests(), machine.MaxClock() - start);
-    machine.SetExecutor(nullptr);
-    return rps;
-  };
   // Peak is an operating point (offered load below the knee), not a fix:
   // it keeps its explicit config. Drop-off and fixed are the scenario
   // factory's two RunSpec shapes (--admission-control off/on).
   {
     auto rig = MakeRig(16, params.seed);
-    ApacheWorkload workload(rig->env.get(), ApacheConfig::Peak());
-    report.metrics.push_back(
-        {"peak_rps", measure_workload(workload, *rig->machine), "req/s"});
+    rig->workload = std::make_unique<ApacheWorkload>(rig->env.get(), ApacheConfig::Peak());
+    report.metrics.push_back({"peak_rps", EngineSteadyStateRps(*rig, warm, measure), "req/s"});
   }
-  const ScenarioInfo* info = ScenarioRegistry::Default().Find("apache");
-  DPROF_CHECK(info != nullptr);
-  for (const bool fixed : {false, true}) {
-    RunSpec spec;
-    spec.cores = 16;
-    spec.seed = params.seed;
-    spec.admission_control = fixed;
-    auto rig = info->factory(spec);
-    report.metrics.push_back({fixed ? "fixed_rps" : "dropoff_rps",
-                              measure_workload(*rig->workload, *rig->machine), "req/s"});
-  }
+  RunSpec spec;
+  spec.cores = 16;
+  spec.seed = params.seed;
+  const double dropoff = ScenarioRps("apache", spec, warm, measure);
+  spec.admission_control = true;
+  const double fixed = ScenarioRps("apache", spec, warm, measure);
+  report.metrics.push_back({"dropoff_rps", dropoff, "req/s"});
+  report.metrics.push_back({"fixed_rps", fixed, "req/s"});
+  PushImprovement(&report, dropoff, fixed);
   return report;
 }
 
@@ -557,56 +600,7 @@ BenchReport RunParallelEngine(const BenchParams& params) {
   return report;
 }
 
-// ---------------------------------------------------------------------------
-// Paper-table reproduction programs (bench/table_*.cc, figure_*, ablations)
-// surfaced through this registry: `dprof bench table_6_1_memcached_profile`
-// executes the sibling bench_* binary and relays its report.
-// ---------------------------------------------------------------------------
-
-std::string& BenchProgramDir() {
-  static std::string* dir = new std::string();
-  return *dir;
-}
-
-BenchReport RunTableProgram(const std::string& name, const BenchParams& params) {
-  (void)params;  // the reproduction programs fix their own seeds and scales
-  BenchReport report;
-  report.bench = name;
-  const std::string& dir = BenchProgramDir();
-  if (dir.empty()) {
-    report.text = "bench program directory unknown (not invoked via the dprof CLI)\n";
-    report.metrics.push_back({"exit_code", -1.0, ""});
-    return report;
-  }
-  const std::string command = dir + "/bench_" + name + " 2>&1";
-  const auto start = Clock::now();
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) {
-    report.text = "failed to start " + command + "\n";
-    report.metrics.push_back({"exit_code", -1.0, ""});
-    return report;
-  }
-  std::array<char, 4096> buffer;
-  size_t n = 0;
-  while ((n = fread(buffer.data(), 1, buffer.size(), pipe)) > 0) {
-    report.text.append(buffer.data(), n);
-  }
-  const int status = pclose(pipe);
-  // Decode the wait status: exit code when the program exited, -signal when
-  // it died on one, -1 when pclose itself failed.
-  int exit_code = -1;
-  if (status >= 0) {
-    exit_code = WIFEXITED(status) ? WEXITSTATUS(status)
-                                  : (WIFSIGNALED(status) ? -WTERMSIG(status) : -1);
-  }
-  report.metrics.push_back({"exit_code", static_cast<double>(exit_code), ""});
-  report.metrics.push_back({"host_seconds", ElapsedNs(start) / 1e9, "s"});
-  return report;
-}
-
 }  // namespace
-
-void SetBenchProgramDir(const std::string& dir) { BenchProgramDir() = dir; }
 
 bool BenchRegistry::Register(const std::string& name, const std::string& description,
                              BenchFn fn) {
@@ -649,10 +643,10 @@ void RegisterBuiltinBenches(BenchRegistry& registry) {
                     "(hits, misses, invalidation ping-pong, mixed)",
                     RunHierarchyBench);
   registry.Register("memcached_throughput",
-                    "simulated memcached req/s, stock vs. core-local tx fix",
+                    "simulated memcached req/s, stock vs. core-local tx fix, and its gain",
                     RunMemcachedThroughput);
   registry.Register("apache_throughput",
-                    "simulated Apache req/s at peak / drop-off / fixed",
+                    "simulated Apache req/s at peak / drop-off / fixed, and the fix's gain",
                     RunApacheThroughput);
   registry.Register("parallel_engine",
                     "epoch-engine wall-clock: legacy loop vs 1 / N host threads "
@@ -662,22 +656,7 @@ void RegisterBuiltinBenches(BenchRegistry& registry) {
                     "end-to-end `dprof whatif --auto` smoke on memcached "
                     "(top-2 types x all fixes, ranked deltas)",
                     RunWhatIfSmoke);
-
-  // Paper-table reproductions (standalone bench/ programs run from here).
-  static const char* kTablePrograms[] = {
-      "table_6_1_memcached_profile", "table_6_2_lockstat_memcached",
-      "table_6_3_oprofile_memcached", "table_6_4_6_5_apache_profile",
-      "table_6_6_lockstat_apache",   "table_6_7_history_collection",
-      "table_6_8_history_rates",     "table_6_9_overhead_breakdown",
-      "table_6_10_pairwise",         "figure_6_1_dataflow_skbuff",
-      "figure_6_2_ibs_overhead",     "figure_6_3_unique_paths",
-      "ablation_pairwise",           "ablation_sampling_rate",
-      "case_study_fixes"};
-  for (const char* name : kTablePrograms) {
-    registry.Register(
-        name, std::string("paper reproduction: runs the standalone bench_") + name,
-        [name](const BenchParams& params) { return RunTableProgram(name, params); });
-  }
+  RegisterPaperBenches(registry);
 }
 
 std::string BenchReportToJson(const BenchReport& report) {

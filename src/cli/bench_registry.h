@@ -24,8 +24,8 @@ struct BenchMetric {
 struct BenchReport {
   std::string bench;
   std::vector<BenchMetric> metrics;
-  // Free-form program output (paper-table reproductions); printed before the
-  // metrics in text mode, embedded as "output" in JSON.
+  // Free-form output (the paper reproductions' rendered tables); printed
+  // before the metrics in text mode, embedded as "output" in JSON.
   std::string text;
 };
 
@@ -61,11 +61,9 @@ class BenchRegistry {
 
 void RegisterBuiltinBenches(BenchRegistry& registry);
 
-// Directory holding the standalone bench_* reproduction executables
-// (bench/table_*.cc et al.). The CLI sets this from argv[0] so the
-// registered paper-table benches can run them from one driver; when unset,
-// those benches report an error metric instead.
-void SetBenchProgramDir(const std::string& dir);
+// Registers the paper reproductions (table_*, figure_*, ablation_*; see
+// paper_benches.cc). Part of RegisterBuiltinBenches.
+void RegisterPaperBenches(BenchRegistry& registry);
 
 // Renders `report` as the machine-readable JSON document
 // `dprof bench --json` prints.

@@ -578,12 +578,6 @@ int CmdBench(const std::vector<std::string>& args) {
 
 int Main(int argc, char** argv) {
   std::vector<std::string> args(argv, argv + argc);
-  if (!args.empty()) {
-    // The paper-table benches exec sibling bench_* binaries from our dir.
-    const std::string& self = args[0];
-    const size_t slash = self.rfind('/');
-    SetBenchProgramDir(slash == std::string::npos ? "." : self.substr(0, slash));
-  }
   if (args.size() < 2) return Usage(stderr);
   const std::string& command = args[1];
   if (command == "list") return CmdList();

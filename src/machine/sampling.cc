@@ -55,29 +55,43 @@ bool SamplingController::BeginEpoch(uint64_t clock) {
   if (k != cur_period_) {
     // Honesty self-check at period rollover: a period that served less than
     // half its detailed-window budget breaks the assumption behind the
-    // scaled estimates. Degrade: widen the window so the next period can
-    // catch up; repeated violations abandon sampling for exact execution.
+    // scaled estimates.
     if (cur_period_ != ~0ull && served_ < config_.window_cycles / 2) {
-      ++violations_;
-      if (faults_ != nullptr) {
-        faults_->NoteRecovered(FaultSeam::kWindowJitter);
+      if (!window_opened_) {
+        // The committed clock jumped the whole window: one epoch began
+        // before it and ended past the period (a fast-forward epoch's last
+        // driver step can overshoot FfRunway by more than the rest of the
+        // period). The window was never offered, so it is owed and served
+        // from the next epoch on instead of counting as starved.
+        owed_ += config_.window_cycles;
+      } else {
+        // An open window that still starved degrades the run: widen the
+        // window so the next period can catch up; repeated violations
+        // abandon sampling for exact execution.
+        ++violations_;
+        if (faults_ != nullptr) {
+          faults_->NoteRecovered(FaultSeam::kWindowJitter);
+        }
+        if (violations_ >= kMaxViolations) {
+          exact_fallback_ = true;
+          return true;
+        }
+        widened_ = true;
+        config_.window_cycles = std::min(config_.window_cycles * 2, config_.period_cycles);
       }
-      if (violations_ >= kMaxViolations) {
-        exact_fallback_ = true;
-        return true;
-      }
-      widened_ = true;
-      config_.window_cycles =
-          std::min(config_.window_cycles * 2, config_.period_cycles);
     }
     cur_period_ = k;
     served_ = 0;
+    window_opened_ = false;
     offset_ = Jitter(k);
     if (faults_ != nullptr && faults_->WindowJitterFires(k)) {
       // Injected schedule jitter: park the window start so late in the
-      // period that the budget provably cannot be served — the self-check
-      // above must catch it at the next rollover.
+      // period that the budget provably cannot be served, and count the
+      // window as offered even if the clock jumps it (a jumped window would
+      // be owed and served late) — the self-check above must catch it at
+      // the next rollover.
       offset_ = config_.period_cycles - config_.window_cycles / 4 - 1;
+      window_opened_ = true;
     }
   }
   // Serve the detailed window once the clock passes the jittered offset, and
@@ -85,7 +99,8 @@ bool SamplingController::BeginEpoch(uint64_t clock) {
   // epoch strides vary, "past the offset and not yet served" guarantees at
   // least one detailed epoch per period regardless of how clocks land.
   const uint64_t in_period = clock - k * config_.period_cycles;
-  return served_ < config_.window_cycles && in_period >= offset_;
+  window_opened_ = window_opened_ || in_period >= offset_;
+  return owed_ > 0 || (served_ < config_.window_cycles && in_period >= offset_);
 }
 
 uint64_t SamplingController::FfRunway(uint64_t clock) const {
@@ -102,7 +117,10 @@ uint64_t SamplingController::FfRunway(uint64_t clock) const {
 void SamplingController::EndEpoch(bool detailed, uint64_t advance, uint64_t accesses) {
   total_cycles_ += advance;
   if (detailed) {
-    served_ += advance;
+    // Detailed time pays off owed windows first, then this period's own.
+    const uint64_t repaid = std::min(owed_, advance);
+    owed_ -= repaid;
+    served_ += advance - repaid;
     ++detailed_epochs_;
     measured_cycles_ += advance;
     measured_accesses_ += accesses;

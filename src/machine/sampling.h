@@ -86,8 +86,10 @@ class SamplingController {
 
   // Self-check against the honesty contract behind WilsonCI: the scaled
   // estimates assume every period contributes (close to) a full detailed
-  // window of measurement. A period that rolls over with less than half its
-  // window served is a violation; the controller degrades gracefully —
+  // window of measurement. A period whose window the committed clock jumped
+  // over owes it: the next epochs run detailed until it is served. A period
+  // that rolls over with less than half of an open window served is a
+  // violation; the controller degrades gracefully —
   // first widening the window (x2, capped at the period), then, after
   // kMaxViolations, falling back to exact execution for the rest of the
   // run. All decisions are functions of the committed clock sequence, so
@@ -127,6 +129,8 @@ class SamplingController {
   uint64_t cur_period_ = ~0ull;  // index of the period being served
   uint64_t served_ = 0;          // detailed cycles served in cur_period_
   uint64_t offset_ = 0;          // window start offset inside cur_period_
+  bool window_opened_ = false;   // an epoch began inside cur_period_'s window
+  uint64_t owed_ = 0;            // detailed cycles of jumped-over windows
   uint64_t violations_ = 0;      // periods that broke the honesty contract
   bool widened_ = false;         // the window budget was doubled at least once
   bool exact_fallback_ = false;  // degraded to always-detailed execution

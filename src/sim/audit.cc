@@ -2,7 +2,10 @@
 
 #include <cinttypes>
 #include <cstdarg>
-#include <cstdio>
+#include <string>
+#include <utility>
+
+#include "src/util/format.h"
 
 namespace dprof {
 
@@ -16,12 +19,12 @@ struct Reporter {
     if (result->violations.size() >= InvariantAuditor::kMaxMessages) {
       return;
     }
-    char buf[256];
+    std::string message;
     va_list args;
     va_start(args, fmt);
-    vsnprintf(buf, sizeof(buf), fmt, args);
+    StringAppendV(&message, fmt, args);
     va_end(args);
-    result->violations.emplace_back(buf);
+    result->violations.push_back(std::move(message));
   }
 };
 

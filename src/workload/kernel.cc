@@ -200,4 +200,12 @@ double ThroughputRps(uint64_t requests, uint64_t elapsed_cycles) {
          (static_cast<double>(elapsed_cycles) / kCyclesPerSecond);
 }
 
+double SteadyStateRps(Machine& machine, Workload& workload, uint64_t warm, uint64_t measure) {
+  machine.RunFor(warm);
+  workload.ResetStats();
+  const uint64_t start = machine.MaxClock();
+  machine.RunFor(measure);
+  return ThroughputRps(workload.CompletedRequests(), machine.MaxClock() - start);
+}
+
 }  // namespace dprof

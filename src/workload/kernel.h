@@ -214,6 +214,11 @@ class Workload {
 // Requests per simulated second.
 double ThroughputRps(uint64_t requests, uint64_t elapsed_cycles);
 
+// Warms an installed `workload` for `warm` cycles, then returns its
+// throughput over the next `measure` cycles. Runs on whatever executor is
+// attached to `machine` (none: the direct loop).
+double SteadyStateRps(Machine& machine, Workload& workload, uint64_t warm, uint64_t measure);
+
 }  // namespace dprof
 
 #endif  // DPROF_SRC_WORKLOAD_KERNEL_H_

@@ -128,6 +128,41 @@ TEST(BenchRegistryTest, BuiltinsAreRegistered) {
   EXPECT_EQ(registry.Find("no_such_bench"), nullptr);
 }
 
+TEST(BenchRegistryTest, PaperReproductionsAreRegistered) {
+  BenchRegistry registry;
+  RegisterBuiltinBenches(registry);
+  for (const char* name :
+       {"table_6_1_memcached_profile", "table_6_2_lockstat_memcached",
+        "table_6_3_oprofile_memcached", "table_6_4_6_5_apache_profile",
+        "table_6_6_lockstat_apache", "table_6_7_history_collection", "table_6_8_history_rates",
+        "table_6_9_overhead_breakdown", "table_6_10_pairwise", "figure_6_1_dataflow_skbuff",
+        "figure_6_2_ibs_overhead", "figure_6_3_unique_paths", "ablation_pairwise",
+        "ablation_sampling_rate"}) {
+    EXPECT_NE(registry.Find(name), nullptr) << name;
+  }
+}
+
+// The reproductions run in-process and deterministically: the same table
+// twice, with the paper's top type leading the profile.
+TEST(BenchRegistryTest, PaperTableRunsInProcessAndRepeats) {
+  BenchRegistry registry;
+  RegisterBuiltinBenches(registry);
+  const BenchInfo* info = registry.Find("table_6_1_memcached_profile");
+  ASSERT_NE(info, nullptr);
+  const BenchReport first = info->fn(BenchParams{});
+  const BenchReport second = info->fn(BenchParams{});
+  EXPECT_EQ(first.bench, "table_6_1_memcached_profile");
+  EXPECT_EQ(first.text, second.text);
+
+  // The first row under the profile table's header rule.
+  const std::string& text = first.text;
+  const size_t header = text.find("Type name");
+  ASSERT_NE(header, std::string::npos) << text;
+  const size_t rule_end = text.find('\n', text.find('\n', header) + 1);
+  ASSERT_NE(rule_end, std::string::npos);
+  EXPECT_EQ(text.compare(rule_end + 1, 10, "size-1024 "), 0) << text;
+}
+
 TEST(BenchRegistryTest, MicroCostsJsonHasExpectedShape) {
   BenchRegistry registry;
   RegisterBuiltinBenches(registry);
@@ -142,8 +177,9 @@ TEST(BenchRegistryTest, MicroCostsJsonHasExpectedShape) {
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"bench\":\"micro_costs\""), std::string::npos);
   EXPECT_NE(json.find("\"metrics\":["), std::string::npos);
-  for (const char* metric : {"cache_touch", "slab_alloc_free", "resolve",
-                             "ibs_interrupt_cycles", "watchpoint_interrupt_cycles"}) {
+  for (const char* metric :
+       {"cache_touch", "slab_alloc_free", "resolve", "ibs_sampled_access", "path_trace_build",
+        "ibs_interrupt_cycles", "watchpoint_interrupt_cycles"}) {
     EXPECT_NE(json.find(std::string("\"name\":\"") + metric + "\""), std::string::npos)
         << metric;
   }

@@ -157,6 +157,60 @@ TEST(SamplingTest, CustomPeriodAndWindowAreHonored) {
   EXPECT_LT(r.sampling.scale, 10.0);
 }
 
+// A fast-forward epoch whose committed clock overshoots its runway can carry
+// the clock from before a period's window straight into the next period. No
+// epoch boundary fell inside that window, so it was never offered: the
+// controller owes it (the next epoch runs detailed) instead of counting the
+// period as starved and degrading the run.
+TEST(SamplingTest, JumpedWindowIsOwedNotCountedAsStarved) {
+  SamplingController sc(SamplingConfig{true, 400'000, 20'000});
+  ASSERT_TRUE(sc.BeginEpoch(0));  // period 0's window opens at offset 0
+  sc.EndEpoch(true, 20'000, 100);
+  ASSERT_FALSE(sc.BeginEpoch(20'000));
+  sc.EndEpoch(false, 380'000, 100);
+  ASSERT_FALSE(sc.BeginEpoch(400'000));  // period 1, before its window
+  ASSERT_GT(sc.FfRunway(400'000), 0u);
+  sc.EndEpoch(false, 400'000, 100);  // lands in period 2: window 1 jumped
+
+  EXPECT_TRUE(sc.BeginEpoch(800'000)) << "the jumped window must be served late";
+  EXPECT_EQ(sc.violations(), 0u);
+  EXPECT_FALSE(sc.widened());
+  EXPECT_FALSE(sc.exact_fallback());
+}
+
+// The honesty check itself is unchanged for windows that were offered: a
+// window entered too late in its period to serve half its budget is a
+// violation, and the window widens.
+TEST(SamplingTest, OpenWindowServedTooLateStillCounts) {
+  SamplingController sc(SamplingConfig{true, 400'000, 20'000});
+  ASSERT_TRUE(sc.BeginEpoch(0));
+  sc.EndEpoch(true, 20'000, 100);
+  ASSERT_FALSE(sc.BeginEpoch(20'000));
+  sc.EndEpoch(false, 380'000, 100);
+  ASSERT_FALSE(sc.BeginEpoch(400'000));
+  sc.EndEpoch(false, 399'000, 100);  // overshoots into the window's tail
+  ASSERT_TRUE(sc.BeginEpoch(799'000));
+  sc.EndEpoch(true, 2'000, 100);  // 2000 < 10000 served when the period ends
+
+  sc.BeginEpoch(801'000);
+  EXPECT_EQ(sc.violations(), 1u);
+  EXPECT_TRUE(sc.widened());
+}
+
+// The paper's Apache drop-off scenario at the operating point
+// ci/check_tables.py checks: fast-forward epochs overshoot whole windows
+// there, which used to walk the honesty ladder to the exact fallback.
+TEST(SamplingTest, ApacheSampledRunKeepsFastForwarding) {
+  RunSpec spec = BaseSpec();
+  spec.cores = 16;
+  spec.collect_cycles = 10'000'000;
+  spec.sampled = true;
+  const ScenarioReport r = RunScenario(ScenarioRegistry::Default(), "apache", spec);
+  EXPECT_FALSE(r.degraded);
+  EXPECT_EQ(r.sampling_violations, 0u);
+  EXPECT_GE(r.sampling.scale, 2.0);
+}
+
 TEST(SamplingTest, WilsonIntervalIsSaneAndFloored) {
   // 500 of 1000: symmetric interval around 50%, at least the floor wide.
   SamplingInterval i = SamplingController::WilsonCI(500, 1000, 2.5);

@@ -3,6 +3,7 @@
 #include <set>
 
 #include "src/util/dot.h"
+#include "src/util/format.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/table.h"
@@ -186,6 +187,16 @@ TEST(TablePrinterTest, Formatters) {
   EXPECT_EQ(TablePrinter::Bytes(2048), "2.00KB");
   EXPECT_EQ(TablePrinter::Bytes(3 * 1024 * 1024), "3.00MB");
   EXPECT_EQ(TablePrinter::Count(42), "42");
+}
+
+TEST(StringAppendFTest, AppendsWithoutLengthLimit) {
+  std::string out = "head ";
+  StringAppendF(&out, "%d%% of %s", 45, "misses");
+  EXPECT_EQ(out, "head 45% of misses");
+  const std::string long_text(5000, 'x');
+  StringAppendF(&out, "|%s|", long_text.c_str());
+  EXPECT_EQ(out.size(), 18u + 5002u);
+  EXPECT_EQ(out.back(), '|');
 }
 
 TEST(DotWriterTest, EmitsNodesAndEdges) {
