@@ -254,9 +254,6 @@ ScenarioReport RunScenario(const ScenarioRegistry& registry, const std::string& 
   if (spec.use_engine) {
     EngineConfig engine_config;
     engine_config.threads = spec.threads;
-    engine_config.allow_record_elision = spec.record_elision;
-    engine_config.socket_aware_apply = spec.socket_aware_apply;
-    engine_config.apply_work_stealing = spec.work_stealing;
     engine_config.sampling.enabled = spec.sampled;
     if (spec.sampling_period > 0) {
       engine_config.sampling.period_cycles = spec.sampling_period;

@@ -57,11 +57,11 @@ struct RunSpec {
   // machine (16 cores + one 16MB slice per socket). A preset fixes the core
   // count and overrides `cores`.
   std::string topology;
-  // Engine apply-phase dispatch arms on multi-socket topologies (see
-  // EngineConfig::socket_aware_apply / apply_work_stealing). Both change
-  // host wall-clock only; the report is byte-identical across all four
-  // combinations — the parallel_engine bench records both sharding arms.
+  // Ignored: the engine has one apply dispatch. Still declared because
+  // perfbench/harness.cc reads it.
   bool socket_aware_apply = true;
+  // Ignored: the engine's apply dispatch always steals. Still declared
+  // because perfbench/harness.cc reads it.
   bool work_stealing = true;
   uint64_t seed = 1;
   // 0 = keep the scenario's default collect_cycles.
@@ -74,9 +74,8 @@ struct RunSpec {
   // loop instead of the epoch engine: the baseline the parallel_engine
   // bench and the engine-validation tests compare against.
   bool use_engine = true;
-  // EngineConfig::allow_record_elision for the run's engine. The report is
-  // byte-identical either way; tests and CI force the recorded path with
-  // false to diff the two.
+  // Ignored: record elision is gone. Still declared because
+  // perfbench/harness.cc reads it.
   bool record_elision = true;
   // Whether RunScenario should render the per-view JSON documents into the
   // report; text-only callers skip that work.

@@ -93,7 +93,6 @@ class HistoryCollector final : public AllocationObserver {
   HistoryCollector(Machine* machine, DebugRegisterFile* regs, TypeId type, uint32_t object_size,
                    const HistoryCollectorOptions& options = {},
                    SlabAllocator* allocator = nullptr);
-  ~HistoryCollector();
 
   HistoryCollector(const HistoryCollector&) = delete;
   HistoryCollector& operator=(const HistoryCollector&) = delete;

@@ -46,8 +46,7 @@ uint64_t PackKey(uint64_t timestamp, int core) {
 constexpr uint32_t kApplyWindow = 64;
 
 // Scatter sentinel of an injected duplicate apply: the replayed record's
-// result is discarded, so the sentinel never collides with ring tags or
-// lane indices.
+// result is discarded, so the sentinel never collides with a lane index.
 constexpr uint32_t kDupScatter = ~0u;
 
 // Balanced-tree reduction: log-depth dependency chain, so the four-wide min
@@ -126,20 +125,20 @@ Engine::Engine(Machine* machine, const EngineConfig& config)
   for (int i = 0; i < spawn; ++i) {
     workers_.emplace_back(&Engine::WorkerLoop, this);
   }
-  // With workers, the apply phase runs one worker per hierarchy shard over
+  // With workers, the apply phase claims whole hierarchy shards over
   // recorded shard lists; without them, a single fused merge over the
   // per-core streams applies the same per-shard suborders — identical
   // hierarchy results — without the shard indirection.
   shard_apply_ = !workers_.empty() && num_shards_ > 1;
-  // Socket-major dispatch: each socket's L3 slice is a contiguous shard
-  // range (the home bits are the shard index's high bits), so a socket task
-  // walks one slice's arrays end to end.
+  // Each socket's L3 slice is a contiguous shard range (the home bits are
+  // the shard index's high bits), so a task draining one socket walks one
+  // slice's arrays end to end. At least one task per socket keeps every
+  // socket's range a task's first choice; more tasks than threads or shards
+  // would only add claim traffic.
   num_sockets_ = machine_->hierarchy().num_sockets();
   shards_per_socket_ = num_shards_ / static_cast<uint32_t>(num_sockets_);
-  socket_apply_ = shard_apply_ && config_.socket_aware_apply && num_sockets_ > 1;
-  if (socket_apply_) {
-    socket_cursor_ = std::vector<std::atomic<uint32_t>>(num_sockets_);
-  }
+  apply_tasks_ = std::max(num_sockets_, std::min(threads_, static_cast<int>(num_shards_)));
+  socket_cursor_ = std::vector<std::atomic<uint32_t>>(num_sockets_);
 }
 
 Engine::~Engine() {
@@ -339,11 +338,11 @@ void Engine::RunAudit() {
 void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycles) {
   Machine& m = *machine_;
   const int cores = m.num_cores();
-  // The sampling schedule is a function of the committed min-clock, and the
-  // elision gate reads only committed machine state, so both choices — like
-  // everything downstream of them — are identical for every thread count.
-  // Observers force detailed epochs: fast-forward has no events to deliver,
-  // so a sampled run with observers attached would silently starve them.
+  // The sampling schedule is a function of the committed min-clock, so the
+  // choice — like everything downstream of it — is identical for every
+  // thread count. Observers force detailed epochs: fast-forward has no
+  // events to deliver, so a sampled run with observers attached would
+  // silently starve them.
   const bool want_detailed = sampler_ == nullptr || sampler_->BeginEpoch(min_clock);
   ff_epoch_ = !want_detailed && m.observers_.empty();
   // Fast-forward stretches coarsen the epoch: they skip the apply phase and
@@ -365,9 +364,6 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
     // RunFor is what turns the resulting no-progress streak into a status.
     epoch_end = min_clock;
   }
-  const ElideMode elide_mode =
-      ff_epoch_ ? ElideMode::kOff : ElisionMode();
-  elide_epoch_ = elide_mode == ElideMode::kFull;
   // Fast-forward epochs snapshot the union of armed filter windows so
   // watchpoint-covered addresses keep recording dispatchable ops. Windows
   // armed mid-epoch (by an alloc-event handler) see their accesses from the
@@ -410,18 +406,6 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
       rec.ff = true;
       rec.ff_lo = ff_lo;
       rec.ff_hi = ff_hi;
-    } else if (elide_mode == ElideMode::kFull) {
-      rec.elide = true;
-      rec.elide_budget = ~0ull;
-    } else if (elide_mode == ElideMode::kPrefix) {
-      uint64_t budget = PmuHook::kQuietUnbounded;
-      for (PmuHook* hook : m.pmu_hooks_) {
-        budget = std::min(budget, hook->QuietOps(c));
-      }
-      if (budget > 0) {
-        rec.elide = true;
-        rec.elide_budget = budget;
-      }
     }
     // Injected per-core clock skew: an idle burst recorded at epoch start,
     // keyed on (core, epoch ordinal) only, so skewed runs commit the same
@@ -440,14 +424,11 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
   const auto t1 = Clock::now();
   // Fast-forward epochs never touch the hierarchy: no apply pass at all.
   if (!ff_epoch_) {
-    if (socket_apply_) {
+    if (shard_apply_) {
       for (auto& cursor : socket_cursor_) {
         cursor.store(0, std::memory_order_relaxed);
       }
-      ParallelFor(num_sockets_, [&](int socket) { ApplySocket(socket); });
-    } else if (shard_apply_) {
-      ParallelFor(static_cast<int>(num_shards_),
-                  [&](int shard) { ApplyShard(static_cast<uint32_t>(shard)); });
+      ParallelFor(apply_tasks_, [&](int task) { ApplyTask(task); });
     } else {
       ApplyGlobal();
     }
@@ -469,9 +450,6 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
   phase_stats_.apply_seconds += Seconds(t1, t2);
   phase_stats_.commit_seconds += Seconds(t2, t3);
   ++phase_stats_.epochs;
-  if (elide_epoch_) {
-    ++phase_stats_.elided_epochs;
-  }
   if (ff_epoch_) {
     ++phase_stats_.ff_epochs;
   }
@@ -483,33 +461,6 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
     }
     sampler_->EndEpoch(!ff_epoch_, m.MinClock() - min_clock, accesses);
   }
-}
-
-Engine::ElideMode Engine::ElisionMode() const {
-  const Machine& m = *machine_;
-  if (!config_.allow_record_elision) {
-    return ElideMode::kOff;
-  }
-  if (!m.observers_.empty() || m.elision_inhibitors() > 0) {
-    return ElideMode::kOff;
-  }
-  bool bounded = false;
-  for (PmuHook* hook : m.pmu_hooks_) {
-    Addr lo = 0;
-    Addr hi = 0;
-    if (hook->AccessFilter(&lo, &hi)) {
-      return ElideMode::kOff;  // an armed watchpoint window wants per-access checks
-    }
-    for (int c = 0; c < m.num_cores(); ++c) {
-      if (hook->QuietOps(c) != PmuHook::kQuietUnbounded) {
-        bounded = true;  // a countdown could expire inside the epoch
-      }
-    }
-  }
-  // Bounded countdowns still guarantee a quiet prefix per core: stream that
-  // prefix through the ring, record from the first access a hook could act
-  // on.
-  return bounded ? ElideMode::kPrefix : ElideMode::kFull;
 }
 
 void Engine::SimulateCore(int core, uint64_t epoch_end) {
@@ -560,20 +511,11 @@ void Engine::ApplyShard(uint32_t shard) {
   for (int c = 0; c < kMaxCores; ++c) {
     keys[c] = kDoneKey;
   }
-  // Shard-list entries are ring indices (kRingTag set: ring-streamed
-  // accesses of elide epochs and prefixes) or lane indices (recorded
-  // accesses); the tag picks the gather source and the scatter target, so
-  // one merge handles pure and mixed epochs alike.
-  auto entry_t = [](const CoreRecorder& rec, uint32_t e) {
-    return (e & CoreRecorder::kRingTag) != 0
-               ? rec.epoch_start_clock + rec.ring[e & ~CoreRecorder::kRingTag].t_delta
-               : rec.lane[e].t;
-  };
   for (int c = 0; c < cores; ++c) {
     const CoreRecorder& rec = recorders_[c];
     const auto& list = rec.shard_ops[shard];
     if (!list.empty()) {
-      keys[c] = PackKey(entry_t(rec, list[0]) >> qbits, c);
+      keys[c] = PackKey(rec.lane[list[0]].t >> qbits, c);
       ++remaining;
     }
   }
@@ -586,53 +528,39 @@ void Engine::ApplyShard(uint32_t shard) {
     const uint64_t limit = MinKey(keys, cores);
     uint64_t key;
     do {
-      // Gather the drain (ring entries or lane records of this core, in
-      // shard-list order) into the window, then batch-apply and scatter the
-      // packed results back.
+      // Gather the drain (this core's lane records, in shard-list order)
+      // into the window, then batch-apply and scatter the packed results
+      // back.
       uint32_t nw = 0;
       do {
         const uint32_t e = list[cursor[core]];
-        if ((e & CoreRecorder::kRingTag) != 0) {
-          // Ring-streamed accesses are never faulted: elision requires the
-          // epoch to be consumer-free, so a perturbed ring could not be
-          // observed recovering anyway.
-          window[nw] = rec.ring[e & ~CoreRecorder::kRingTag];
+        const CoreRecorder::Lane& lane = rec.lane[e];
+        DPROF_CHECK(lane.t - base <= 0xffff'ffffull);  // silent wrap would corrupt merge order
+        const LaneFault fault = lane_faults
+                                    ? faults->LaneFaultFor(core, lane.t, lane.addr)
+                                    : LaneFault::kNone;
+        if (fault == LaneFault::kDrop) {
+          // The record never reaches the hierarchy; recover by committing
+          // the optimistic lower-bound result in its place.
+          rec.lane[e].result = drop_result;
+        } else {
+          window[nw] =
+              ApplyLane{lane.addr, static_cast<uint32_t>(lane.t - base), lane.size_w};
           scatter[nw] = e;
           ++nw;
-        } else {
-          const CoreRecorder::Lane& lane = rec.lane[e];
-          DPROF_CHECK(lane.t - base <= 0xffff'ffffull);  // silent wrap would corrupt merge order
-          const LaneFault fault = lane_faults
-                                      ? faults->LaneFaultFor(core, lane.t, lane.addr)
-                                      : LaneFault::kNone;
-          if (fault == LaneFault::kDrop) {
-            // The record never reaches the hierarchy; recover by committing
-            // the optimistic lower-bound result in its place.
-            rec.lane[e].result = drop_result;
-          } else {
-            window[nw] =
-                ApplyLane{lane.addr, static_cast<uint32_t>(lane.t - base), lane.size_w};
-            scatter[nw] = e;
+          if (fault == LaneFault::kDup) {
+            window[nw] = window[nw - 1];
+            scatter[nw] = kDupScatter;
             ++nw;
-            if (fault == LaneFault::kDup) {
-              window[nw] = window[nw - 1];
-              scatter[nw] = kDupScatter;
-              ++nw;
-            }
           }
         }
         key = ++cursor[core] < list.size()
-                  ? PackKey(entry_t(rec, list[cursor[core]]) >> qbits, core)
+                  ? PackKey(rec.lane[list[cursor[core]]].t >> qbits, core)
                   : kDoneKey;
       } while (key < limit && nw < window_cap);
       m.hierarchy_.ApplyBatch(core, base, window, nw);
       for (uint32_t j = 0; j < nw; ++j) {
-        if (scatter[j] == kDupScatter) {
-          continue;
-        }
-        if ((scatter[j] & CoreRecorder::kRingTag) != 0) {
-          rec.ring[scatter[j] & ~CoreRecorder::kRingTag].size_w = window[j].size_w;
-        } else {
+        if (scatter[j] != kDupScatter) {
           rec.lane[scatter[j]].result = window[j].size_w;
         }
       }
@@ -644,33 +572,24 @@ void Engine::ApplyShard(uint32_t shard) {
   }
 }
 
-// Socket-aware apply task. The shard key is the home socket: shards of one
-// socket form a contiguous range [socket * shards_per_socket_, ...), and
-// this task drains that whole range — one worker owns whole L3 slices, so
-// its tag walks stay inside one slice's (contiguous) tag/meta arrays. Once
-// its own slice is dry, a worker steals remaining shards from the other
-// sockets' ranges through their claim cursors. Every shard is still applied
-// exactly once by exactly one worker, and shard state is disjoint, so the
-// committed results cannot depend on who applied what — stealing only
-// rebalances host wall-clock when the epoch's accesses skew toward one
-// socket's slices.
-void Engine::ApplySocket(int socket) {
-  const uint32_t base = static_cast<uint32_t>(socket) * shards_per_socket_;
-  std::atomic<uint32_t>& own = socket_cursor_[socket];
-  for (uint32_t i = own.fetch_add(1, std::memory_order_relaxed);
-       i < shards_per_socket_; i = own.fetch_add(1, std::memory_order_relaxed)) {
-    ApplyShard(base + i);
-  }
-  if (!config_.apply_work_stealing) {
-    return;
-  }
-  for (int v = 1; v < num_sockets_; ++v) {
-    const int victim = (socket + v) % num_sockets_;
-    std::atomic<uint32_t>& cursor = socket_cursor_[victim];
-    const uint32_t victim_base = static_cast<uint32_t>(victim) * shards_per_socket_;
-    for (uint32_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-         i < shards_per_socket_; i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-      ApplyShard(victim_base + i);
+// Shard-parallel apply task. The shard key is the home socket: shards of
+// one socket form a contiguous range [socket * shards_per_socket_, ...), and
+// each socket has one claim cursor. Task `task` drains socket
+// task % num_sockets_ first — so at one task per socket a worker owns whole
+// L3 slices and its tag walks stay inside one slice's tag/meta arrays — then
+// steals remaining shards from the other sockets round-robin. On a
+// one-socket machine every task shares the single cursor. Every shard is
+// applied exactly once by exactly one task, and shard state is disjoint, so
+// the committed results cannot depend on who applied what; the dispatch
+// only moves host wall-clock.
+void Engine::ApplyTask(int task) {
+  for (int v = 0; v < num_sockets_; ++v) {
+    const int socket = (task + v) % num_sockets_;
+    std::atomic<uint32_t>& cursor = socket_cursor_[socket];
+    const uint32_t base = static_cast<uint32_t>(socket) * shards_per_socket_;
+    for (uint32_t i = cursor.fetch_add(1, std::memory_order_relaxed); i < shards_per_socket_;
+         i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      ApplyShard(base + i);
     }
   }
 }
@@ -680,14 +599,6 @@ void Engine::ApplySocket(int socket) {
 // exactly the per-shard suborder on every shard, so the results are
 // bit-identical to the shard-parallel pass — without recording shard lists
 // or making one merge pass per shard over near-empty lists.
-//
-// Each core's access stream is its elision ring (every entry streamed while
-// the elide budget held — the whole epoch when fully elided) followed by its
-// recorded lane accesses; the ring is a strict time-prefix of the lanes, so
-// a per-core (ring cursor, lane cursor) pair walks the concatenation in
-// order. Ring drains hand contiguous slices to ApplyBatch in place (no
-// gather, no scatter — the packed results land directly in the ring); lane
-// drains gather into a window and scatter results back.
 void Engine::ApplyGlobal() {
   Machine& m = *machine_;
   const int cores = m.num_cores();
@@ -702,7 +613,6 @@ void Engine::ApplyGlobal() {
       PackAccessResult(m.config_.hierarchy.latency.l1, ServedBy::kL1, false);
   const uint32_t window_cap = lane_faults ? kApplyWindow - 1 : kApplyWindow;
   uint64_t keys[kMaxCores];
-  size_t ring_cursor[kMaxCores] = {0};
   uint32_t cursor[kMaxCores] = {0};
   int remaining = 0;
   for (int c = 0; c < kMaxCores; ++c) {
@@ -718,21 +628,11 @@ void Engine::ApplyGlobal() {
     }
     return from;
   };
-  auto key_of = [&](const CoreRecorder& rec, int c) {
-    if (ring_cursor[c] < rec.ring_n) {
-      return PackKey(
-          (rec.epoch_start_clock + rec.ring[ring_cursor[c]].t_delta) >> qbits, c);
-    }
-    if (cursor[c] < rec.size()) {
-      return PackKey(rec.lane[cursor[c]].t >> qbits, c);
-    }
-    return kDoneKey;
-  };
   for (int c = 0; c < cores; ++c) {
     const CoreRecorder& rec = recorders_[c];
     cursor[c] = next_access(rec, 0);
-    keys[c] = key_of(rec, c);
-    if (keys[c] != kDoneKey) {
+    if (cursor[c] < rec.size()) {
+      keys[c] = PackKey(rec.lane[cursor[c]].t >> qbits, c);
       ++remaining;
     }
   }
@@ -747,20 +647,6 @@ void Engine::ApplyGlobal() {
     const uint64_t limit = MinKey(keys, cores);
     uint64_t key;
     do {
-      if (ring_cursor[core] < rec.ring_n) {
-        // Ring times are nondecreasing, so the drain is the contiguous
-        // slice up to the first entry at or past the limit quantum.
-        const size_t begin = ring_cursor[core];
-        size_t end = begin + 1;
-        while (end < rec.ring_n &&
-               PackKey((base + rec.ring[end].t_delta) >> qbits, core) < limit) {
-          ++end;
-        }
-        m.hierarchy_.ApplyBatch(core, base, rec.ring + begin, end - begin);
-        ring_cursor[core] = end;
-        key = key_of(rec, core);
-        continue;
-      }
       uint32_t nw = 0;
       do {
         const uint32_t li = cursor[core];
@@ -940,7 +826,7 @@ void Engine::CommitEpoch() {
 
 uint32_t Engine::CommitRun(int core, uint32_t begin, uint32_t end) {
   Machine& m = *machine_;
-  CoreRecorder& rec = recorders_[core];
+  const CoreRecorder& rec = recorders_[core];
   // Hot state lives in locals: routing every op's clock/gate/probe update
   // through the member arrays would make each store a potential alias of
   // the lane/meta columns and force reloads. The committed clock syncs
@@ -966,19 +852,6 @@ uint32_t Engine::CommitRun(int core, uint32_t begin, uint32_t end) {
         clock += base_cost + latency;
         if (probing != 0) {
           probe_lat += latency;
-        }
-      } else if (k == SimOp::kElidedRun) {
-        // A run of elided accesses: the apply pass left each packed result
-        // in the ring slice; the run's clock effect is one sum.
-        const ApplyLane* run = rec.ring + lanes[i].addr;
-        const uint32_t count = lanes[i].size_w;
-        uint64_t lat = 0;
-        for (uint32_t j = 0; j < count; ++j) {
-          lat += PackedAccessLatency(run[j].size_w);
-        }
-        clock += count * base_cost + lat;
-        if (probing != 0) {
-          probe_lat += lat;
         }
       } else if (k == SimOp::kCompute || k == SimOp::kIdle) {
         clock += lanes[i].payload();
@@ -1046,26 +919,6 @@ uint32_t Engine::CommitRun(int core, uint32_t begin, uint32_t end) {
       }
       if (want_events) {
         EmitAccess(MakeAccessEvent(core, lane, metas[i].ip, latency, clock));
-      }
-    } else if (k == SimOp::kElidedRun) {
-      // A run streamed under the quiet budget: no hook could act on any of
-      // these accesses (the budget is the epoch-start countdown guarantee,
-      // and elided runs precede every recorded access in program order), so
-      // the run only needs the clock/probe sums plus bulk quiet accounting
-      // — the countdowns must still retire these accesses so the first
-      // recorded access past the prefix samples exactly as without elision.
-      const ApplyLane* run = rec.ring + lanes[i].addr;
-      const uint32_t count = lanes[i].size_w;
-      DPROF_DCHECK(quiet >= count);
-      quiet -= count;
-      skipped += count;
-      uint64_t lat = 0;
-      for (uint32_t j = 0; j < count; ++j) {
-        lat += PackedAccessLatency(run[j].size_w);
-      }
-      clock += count * base_cost + lat;
-      if (probing != 0) {
-        probe_lat += lat;
       }
     } else if (k == SimOp::kCompute) {
       const uint64_t cycles = lanes[i].payload();

@@ -116,9 +116,8 @@ inline bool PackedAccessInvalidation(uint32_t packed) {
 }
 
 // One access of a batch-apply span: the compact 16-byte record the engine
-// streams accesses through (its record-elision rings use exactly this
-// layout, so an elided stream is applied in place). `size_w` carries
-// size | kWriteBit on entry and the packed AccessResult on return.
+// gathers recorded accesses into. `size_w` carries size | kWriteBit on
+// entry and the packed AccessResult on return.
 struct ApplyLane {
   static constexpr uint32_t kWriteBit = 0x8000'0000u;
 

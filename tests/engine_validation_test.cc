@@ -154,11 +154,10 @@ TEST(EngineValidationTest, CoversEveryRegisteredScenario) {
   EXPECT_GE(ScenarioRegistry::Default().Names().size(), 4u);
 }
 
-// Record elision is a pure recording-cost optimization: for every
-// registered scenario the full `dprof run --json` document must be
-// byte-identical with elision allowed and forced off, at one and at four
-// host threads.
-TEST(EngineValidationTest, RecordElisionByteIdenticalPerScenario) {
+// The cross-thread guarantee for every registered scenario: the full
+// `dprof run --json` document is byte-identical at one and at four host
+// threads.
+TEST(EngineValidationTest, ThreadsByteIdenticalPerScenario) {
   ScenarioRegistry& registry = ScenarioRegistry::Default();
   for (const std::string& name : registry.Names()) {
     SCOPED_TRACE("scenario: " + name);
@@ -166,14 +165,8 @@ TEST(EngineValidationTest, RecordElisionByteIdenticalPerScenario) {
     params.cores = 4;
     params.collect_cycles = 1'500'000;
     params.threads = 1;
-    params.record_elision = true;
-    const std::string baseline =
-        ScenarioReportToJson(RunScenario(registry, name, params));
-    params.record_elision = false;
-    EXPECT_EQ(baseline, ScenarioReportToJson(RunScenario(registry, name, params)));
+    const std::string baseline = ScenarioReportToJson(RunScenario(registry, name, params));
     params.threads = 4;
-    EXPECT_EQ(baseline, ScenarioReportToJson(RunScenario(registry, name, params)));
-    params.record_elision = true;
     EXPECT_EQ(baseline, ScenarioReportToJson(RunScenario(registry, name, params)));
   }
 }

@@ -88,7 +88,6 @@ TEST(FaultPlanTest, FaultedRunsAreByteIdenticalAcrossThreads) {
   for (const char* seams :
        {"slab_grow", "lane_drop,lane_dup", "clock_skew", "mailbox_overflow"}) {
     RunSpec spec = SmallSpec(seams);
-    spec.record_elision = false;
     spec.threads = 1;
     const std::string one = RunJson(spec);
     spec.threads = 3;
@@ -194,21 +193,15 @@ TEST(FaultPlanTest, MailboxOverflowDropsAreCountedNotFatal) {
 
 // Ext-bank pressure shrinks the directory extension bank to one way: the
 // hierarchy must absorb it with reclaims/back-invalidations (not corruption:
-// the periodic audit stays clean) across elision modes and thread counts.
+// the periodic audit stays clean) across thread counts.
 TEST(FaultPlanTest, ExtBankPressureStormsStayAuditClean) {
-  for (const bool elision : {true, false}) {
-    for (const int threads : {1, 2}) {
-      RunSpec spec = SmallSpec("ext_pressure");
-      spec.audit_epochs = 16;
-      spec.record_elision = elision;
-      spec.threads = threads;
-      const ScenarioReport report =
-          RunScenario(ScenarioRegistry::Default(), "memcached", spec);
-      EXPECT_TRUE(report.status.ok())
-          << "elision=" << elision << " threads=" << threads << ": "
-          << report.status.ToString();
-      EXPECT_GT(report.hierarchy.tag_reclaims, 0u);
-    }
+  for (const int threads : {1, 2}) {
+    RunSpec spec = SmallSpec("ext_pressure");
+    spec.audit_epochs = 16;
+    spec.threads = threads;
+    const ScenarioReport report = RunScenario(ScenarioRegistry::Default(), "memcached", spec);
+    EXPECT_TRUE(report.status.ok()) << "threads=" << threads << ": " << report.status.ToString();
+    EXPECT_GT(report.hierarchy.tag_reclaims, 0u);
   }
 }
 

@@ -54,47 +54,40 @@ const std::map<std::string, GoldenTotals> kGolden = {
 
 TEST(GoldenStatsTest, LatticeMatchesRecordedBaselinePerScenario) {
   ScenarioRegistry& registry = ScenarioRegistry::Default();
-  // Both record modes must reproduce the fingerprints: the elided stream
-  // (EngineConfig::allow_record_elision) feeds the hierarchy through the
-  // batch applier in exactly the recorded path's merge order.
-  for (const bool elide : {false, true}) {
-    for (const auto& [name, golden] : kGolden) {
-      SCOPED_TRACE("scenario: " + name + (elide ? " (elision on)" : " (elision off)"));
-      const ScenarioInfo* info = registry.Find(name);
-      ASSERT_NE(info, nullptr);
+  for (const auto& [name, golden] : kGolden) {
+    SCOPED_TRACE("scenario: " + name);
+    const ScenarioInfo* info = registry.Find(name);
+    ASSERT_NE(info, nullptr);
 
-      RunSpec params;
-      params.cores = 8;
-      params.threads = 1;
-      params.build_view_json = false;
-      auto rig = info->factory(params);
-      rig->workload->Install(*rig->machine);
-      EngineConfig engine_config{1, 20'000, 2'000, 11};
-      engine_config.allow_record_elision = elide;
-      Engine engine(rig->machine.get(), engine_config);
-      rig->machine->SetExecutor(&engine);
+    RunSpec params;
+    params.cores = 8;
+    params.threads = 1;
+    params.build_view_json = false;
+    auto rig = info->factory(params);
+    rig->workload->Install(*rig->machine);
+    Engine engine(rig->machine.get(), EngineConfig{1, 20'000, 2'000, 11});
+    rig->machine->SetExecutor(&engine);
 
-      // Fixed-epoch run: the golden numbers predate adaptive epoch focus,
-      // and this test pins the lattice, not the epoch policy.
-      rig->options.adaptive_epoch_focus = false;
-      DProfSession session(rig->machine.get(), rig->allocator.get(), rig->options);
-      session.CollectAccessSamples(golden.collect_cycles);
-      session.CollectHistoriesForTopTypes(rig->top_types, rig->history_sets);
+    // Fixed-epoch run: the golden numbers predate adaptive epoch focus,
+    // and this test pins the lattice, not the epoch policy.
+    rig->options.adaptive_epoch_focus = false;
+    DProfSession session(rig->machine.get(), rig->allocator.get(), rig->options);
+    session.CollectAccessSamples(golden.collect_cycles);
+    session.CollectHistoriesForTopTypes(rig->top_types, rig->history_sets);
 
-      const HierarchyTotals totals = rig->machine->hierarchy().Totals();
-      EXPECT_EQ(totals.accesses, golden.accesses);
-      EXPECT_EQ(totals.l1_hits, golden.l1_hits);
-      EXPECT_EQ(totals.l1_misses, golden.l1_misses);
-      for (int i = 0; i < 5; ++i) {
-        EXPECT_EQ(totals.served[i], golden.served[i]) << "served level " << i;
-      }
-      EXPECT_EQ(totals.invalidation_misses, golden.invalidation_misses);
-
-      // The equivalence envelope: no extension bank overflowed, so no
-      // back-invalidation the old model would not have performed.
-      EXPECT_EQ(totals.tag_reclaims, 0u);
-      EXPECT_EQ(totals.back_invalidations, 0u);
+    const HierarchyTotals totals = rig->machine->hierarchy().Totals();
+    EXPECT_EQ(totals.accesses, golden.accesses);
+    EXPECT_EQ(totals.l1_hits, golden.l1_hits);
+    EXPECT_EQ(totals.l1_misses, golden.l1_misses);
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_EQ(totals.served[i], golden.served[i]) << "served level " << i;
     }
+    EXPECT_EQ(totals.invalidation_misses, golden.invalidation_misses);
+
+    // The equivalence envelope: no extension bank overflowed, so no
+    // back-invalidation the old model would not have performed.
+    EXPECT_EQ(totals.tag_reclaims, 0u);
+    EXPECT_EQ(totals.back_invalidations, 0u);
   }
 }
 

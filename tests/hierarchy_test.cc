@@ -419,7 +419,7 @@ TEST(HierarchyTest, ExtensionOverflowScenarioFiresReclaimUnderEngine) {
     bool copy_a_tagged;
     bool copy_b_tagged;
   };
-  auto run = [&](int threads, bool elide) {
+  auto run = [&](int threads) {
     MachineConfig config;
     config.hierarchy = hconfig;
     Machine machine(config);
@@ -429,7 +429,6 @@ TEST(HierarchyTest, ExtensionOverflowScenarioFiresReclaimUnderEngine) {
     machine.SetDriver(1, &streamer);
     EngineConfig engine_config;
     engine_config.threads = threads;
-    engine_config.allow_record_elision = elide;
     Engine engine(&machine, engine_config);
     machine.SetExecutor(&engine);
     machine.RunFor(200'000);
@@ -455,7 +454,7 @@ TEST(HierarchyTest, ExtensionOverflowScenarioFiresReclaimUnderEngine) {
     return r;
   };
 
-  const RunResult base = run(1, true);
+  const RunResult base = run(1);
   // The reclaim path really fired, and took private copies with it.
   EXPECT_GT(base.totals.tag_reclaims, 0u);
   EXPECT_GT(base.totals.back_invalidations, 0u);
@@ -470,31 +469,25 @@ TEST(HierarchyTest, ExtensionOverflowScenarioFiresReclaimUnderEngine) {
   EXPECT_EQ(base.totals.accesses, base.totals.l1_hits + base.totals.l1_misses);
   EXPECT_LE(base.totals.invalidation_misses, base.totals.l1_misses);
 
-  // The reclaim-firing run stays deterministic across thread counts and
-  // record modes (back-invalidations land in shard-striped counters).
-  for (const auto& [threads, elide] : {std::pair<int, bool>{1, false},
-                                       std::pair<int, bool>{4, true},
-                                       std::pair<int, bool>{4, false}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads) +
-                 " elide=" + std::to_string(elide));
-    const RunResult other = run(threads, elide);
-    EXPECT_EQ(base.totals.accesses, other.totals.accesses);
-    EXPECT_EQ(base.totals.tag_reclaims, other.totals.tag_reclaims);
-    EXPECT_EQ(base.totals.back_invalidations, other.totals.back_invalidations);
-    EXPECT_EQ(base.totals.invalidation_misses, other.totals.invalidation_misses);
-    for (int i = 0; i < 5; ++i) {
-      EXPECT_EQ(base.totals.served[i], other.totals.served[i]) << "level " << i;
-    }
-    EXPECT_EQ(base.copy_a_private, other.copy_a_private);
-    EXPECT_EQ(base.copy_a_tagged, other.copy_a_tagged);
-    EXPECT_EQ(base.copy_b_tagged, other.copy_b_tagged);
+  // The reclaim-firing run stays deterministic across thread counts
+  // (back-invalidations land in shard-striped counters).
+  const RunResult other = run(4);
+  EXPECT_EQ(base.totals.accesses, other.totals.accesses);
+  EXPECT_EQ(base.totals.tag_reclaims, other.totals.tag_reclaims);
+  EXPECT_EQ(base.totals.back_invalidations, other.totals.back_invalidations);
+  EXPECT_EQ(base.totals.invalidation_misses, other.totals.invalidation_misses);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(base.totals.served[i], other.totals.served[i]) << "level " << i;
   }
+  EXPECT_EQ(base.copy_a_private, other.copy_a_private);
+  EXPECT_EQ(base.copy_a_tagged, other.copy_a_tagged);
+  EXPECT_EQ(base.copy_b_tagged, other.copy_b_tagged);
 }
 
 // Extension-bank exhaustion reached the fault-plan way: kExtBankPressure
 // shrinks l3_dir_ext_ways at config time, the overflow scenario storms the
 // reclaim path, and the invariant auditor must find the lattice consistent
-// afterwards — for every thread count and record mode.
+// afterwards — for every thread count.
 TEST(HierarchyTest, FaultPlanExtPressureExhaustionStaysAuditClean) {
   HierarchyConfig hconfig = SmallConfig(4);
   FaultPlanConfig fault_config;
@@ -506,12 +499,8 @@ TEST(HierarchyTest, FaultPlanExtPressureExhaustionStaysAuditClean) {
 
   const uint64_t set_span = hconfig.l3.NumSets() * hconfig.l3.line_size;
   uint64_t base_reclaims = 0;
-  for (const auto& [threads, elide] : {std::pair<int, bool>{1, true},
-                                       std::pair<int, bool>{1, false},
-                                       std::pair<int, bool>{4, true},
-                                       std::pair<int, bool>{4, false}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads) +
-                 " elide=" + std::to_string(elide));
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     MachineConfig config;
     config.hierarchy = hconfig;
     Machine machine(config);
@@ -521,7 +510,6 @@ TEST(HierarchyTest, FaultPlanExtPressureExhaustionStaysAuditClean) {
     machine.SetDriver(1, &streamer);
     EngineConfig engine_config;
     engine_config.threads = threads;
-    engine_config.allow_record_elision = elide;
     Engine engine(&machine, engine_config);
     machine.SetExecutor(&engine);
     machine.RunFor(200'000);

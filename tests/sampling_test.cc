@@ -9,8 +9,8 @@
 //     statistics problem — the interval floors exist to absorb systematic
 //     window-placement bias (see SamplingController::kMissRateFloorPct).
 //  2. Determinism: the sampled report is byte-identical across engine
-//     thread counts and across the record-elision toggle, because the
-//     window schedule is a pure function of the committed min-clock.
+//     thread counts, because the window schedule is a pure function of the
+//     committed min-clock.
 //  3. It actually fast-forwards: most of the run must be skipped work
 //     (scale well above 1), otherwise the mode is exact mode with extra
 //     steps.
@@ -118,20 +118,6 @@ TEST(SamplingTest, SampledReportIsThreadCountInvariant) {
   spec.threads = 4;
   const std::string t4 = ScenarioReportToJson(RunScenario(registry, "memcached", spec));
   EXPECT_EQ(t1, t4) << "sampled report differs between 1 and 4 engine threads";
-}
-
-TEST(SamplingTest, SampledReportIsElisionInvariant) {
-  ScenarioRegistry& registry = ScenarioRegistry::Default();
-  RunSpec spec = BaseSpec();
-  spec.sampled = true;
-  spec.build_view_json = true;
-  spec.threads = 4;
-  const std::string elided = ScenarioReportToJson(RunScenario(registry, "memcached", spec));
-  spec.record_elision = false;
-  const std::string recorded =
-      ScenarioReportToJson(RunScenario(registry, "memcached", spec));
-  EXPECT_EQ(elided, recorded)
-      << "sampled report differs between elided and recorded apply paths";
 }
 
 TEST(SamplingTest, ExactModeReportCarriesNoSamplingBlock) {

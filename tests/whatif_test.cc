@@ -1,7 +1,7 @@
 // Coverage for the whatif engine and the TypeTransform plumbing beneath it:
 // identity transforms are byte-identical to plain runs (and reproduce the
 // golden stats fingerprints through the RunSpec path), every transform is
-// deterministic across host thread counts and record-elision modes, and
+// deterministic across host thread counts, and
 // pad-to-line on conflict_demo's deliberately aliased type yields a positive
 // measured gain.
 
@@ -40,57 +40,42 @@ TEST(WhatIfTest, IdentityTransformIsByteIdenticalToPlainRun) {
 }
 
 // The RunSpec path with an identity transform reproduces the golden stats
-// fingerprint (tests/golden_stats_test.cc, memcached entry) in both record
-// modes: the whatif baseline is the same simulation the goldens pin.
+// fingerprint (tests/golden_stats_test.cc, memcached entry): the whatif
+// baseline is the same simulation the goldens pin.
 TEST(WhatIfTest, IdentityRunReproducesGoldenFingerprint) {
   ScenarioRegistry& registry = ScenarioRegistry::Default();
-  for (const bool elide : {false, true}) {
-    SCOPED_TRACE(elide ? "elision on" : "elision off");
-    RunSpec spec;
-    spec.cores = 8;
-    spec.threads = 1;
-    spec.collect_cycles = 6'000'000;
-    spec.record_elision = elide;
-    spec.build_view_json = false;
-    spec.adaptive_epoch_focus = false;
-    spec.transforms.Add("skbuff", TypeTransformKind::kIdentity);
-    const ScenarioReport report = RunScenario(registry, "memcached", spec);
-    EXPECT_EQ(report.hierarchy.accesses, 12661292u);
-    EXPECT_EQ(report.hierarchy.l1_hits, 7628418u);
-    EXPECT_EQ(report.hierarchy.l1_misses, 5032874u);
-    const uint64_t served[5] = {7628418, 2244339, 528931, 2185426, 74178};
-    for (int i = 0; i < 5; ++i) {
-      EXPECT_EQ(report.hierarchy.served[i], served[i]) << "served level " << i;
-    }
-    EXPECT_EQ(report.hierarchy.invalidation_misses, 2155207u);
+  RunSpec spec;
+  spec.cores = 8;
+  spec.threads = 1;
+  spec.collect_cycles = 6'000'000;
+  spec.build_view_json = false;
+  spec.adaptive_epoch_focus = false;
+  spec.transforms.Add("skbuff", TypeTransformKind::kIdentity);
+  const ScenarioReport report = RunScenario(registry, "memcached", spec);
+  EXPECT_EQ(report.hierarchy.accesses, 12661292u);
+  EXPECT_EQ(report.hierarchy.l1_hits, 7628418u);
+  EXPECT_EQ(report.hierarchy.l1_misses, 5032874u);
+  const uint64_t served[5] = {7628418, 2244339, 528931, 2185426, 74178};
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(report.hierarchy.served[i], served[i]) << "served level " << i;
   }
+  EXPECT_EQ(report.hierarchy.invalidation_misses, 2155207u);
 }
 
 // Every transform in the catalog must keep the engine's determinism
-// guarantee: the report is byte-identical for any host thread count and
-// either record mode.
-TEST(WhatIfTest, TransformsAreDeterministicAcrossThreadsAndElision) {
+// guarantee: the report is byte-identical for any host thread count.
+TEST(WhatIfTest, TransformsAreDeterministicAcrossThreads) {
   ScenarioRegistry& registry = ScenarioRegistry::Default();
   for (const TypeTransformKind kind : AllTypeTransformKinds()) {
     SCOPED_TRACE(TypeTransformKindName(kind));
-    std::string reference;
-    for (const int threads : {1, 4}) {
-      for (const bool elide : {false, true}) {
-        RunSpec spec = SmallConflictSpec();
-        spec.threads = threads;
-        spec.record_elision = elide;
-        spec.collect_histories = false;
-        spec.transforms.Add("pkt_stat", kind);
-        const std::string json =
-            ScenarioReportToJson(RunScenario(registry, "conflict_demo", spec));
-        if (reference.empty()) {
-          reference = json;
-        } else {
-          EXPECT_EQ(reference, json)
-              << "threads=" << threads << " elision=" << (elide ? "on" : "off");
-        }
-      }
-    }
+    RunSpec spec = SmallConflictSpec();
+    spec.collect_histories = false;
+    spec.transforms.Add("pkt_stat", kind);
+    spec.threads = 1;
+    const std::string reference =
+        ScenarioReportToJson(RunScenario(registry, "conflict_demo", spec));
+    spec.threads = 4;
+    EXPECT_EQ(reference, ScenarioReportToJson(RunScenario(registry, "conflict_demo", spec)));
   }
 }
 
@@ -99,27 +84,16 @@ TEST(WhatIfTest, TransformsAreDeterministicAcrossThreadsAndElision) {
 // actually frees across cores, in the same determinism matrix.
 TEST(WhatIfTest, PinHomeOnHeapTypeIsDeterministic) {
   ScenarioRegistry& registry = ScenarioRegistry::Default();
-  std::string reference;
-  for (const int threads : {1, 4}) {
-    for (const bool elide : {false, true}) {
-      RunSpec spec;
-      spec.cores = 4;
-      spec.collect_cycles = 2'000'000;
-      spec.threads = threads;
-      spec.record_elision = elide;
-      spec.collect_histories = false;
-      spec.transforms.Add("skbuff", TypeTransformKind::kPinHome);
-      spec.transforms.Add("size-1024", TypeTransformKind::kPinHome);
-      const std::string json =
-          ScenarioReportToJson(RunScenario(registry, "memcached", spec));
-      if (reference.empty()) {
-        reference = json;
-      } else {
-        EXPECT_EQ(reference, json)
-            << "threads=" << threads << " elision=" << (elide ? "on" : "off");
-      }
-    }
-  }
+  RunSpec spec;
+  spec.cores = 4;
+  spec.collect_cycles = 2'000'000;
+  spec.collect_histories = false;
+  spec.transforms.Add("skbuff", TypeTransformKind::kPinHome);
+  spec.transforms.Add("size-1024", TypeTransformKind::kPinHome);
+  spec.threads = 1;
+  const std::string reference = ScenarioReportToJson(RunScenario(registry, "memcached", spec));
+  spec.threads = 4;
+  EXPECT_EQ(reference, ScenarioReportToJson(RunScenario(registry, "memcached", spec)));
 }
 
 // conflict_demo places pkt_stat objects at a stride that aliases every
