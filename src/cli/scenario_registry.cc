@@ -309,11 +309,9 @@ ScenarioReport RunScenario(const ScenarioRegistry& registry, const std::string& 
   ScenarioReport report;
   if (engine != nullptr) {
     const EnginePhaseStats& stats = engine->phase_stats();
-    report.used_engine = true;
     report.engine_simulate_seconds = stats.simulate_seconds;
     report.engine_apply_seconds = stats.apply_seconds;
     report.engine_commit_seconds = stats.commit_seconds;
-    report.engine_deliver_seconds = stats.deliver_seconds;
     report.engine_epochs = stats.epochs;
     report.status = engine->status();
     report.audits_run = engine->audits_run();

@@ -287,11 +287,9 @@ struct ScenarioReport {
   // Deliberately excluded from ScenarioReportToJson: wall-clock varies with
   // the thread count while the report must stay byte-identical; the bench
   // driver surfaces these through `dprof bench --json` instead.
-  bool used_engine = false;
   double engine_simulate_seconds = 0.0;
   double engine_apply_seconds = 0.0;
   double engine_commit_seconds = 0.0;
-  double engine_deliver_seconds = 0.0;
   uint64_t engine_epochs = 0;
 };
 

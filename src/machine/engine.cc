@@ -125,11 +125,11 @@ Engine::Engine(Machine* machine, const EngineConfig& config)
   for (int i = 0; i < spawn; ++i) {
     workers_.emplace_back(&Engine::WorkerLoop, this);
   }
-  // With workers, the apply phase claims whole hierarchy shards over
-  // recorded shard lists; without them, a single fused merge over the
-  // per-core streams applies the same per-shard suborders — identical
-  // hierarchy results — without the shard indirection.
-  shard_apply_ = !workers_.empty() && num_shards_ > 1;
+  // With workers, the apply phase claims whole hierarchy shards, one access
+  // list each; without them, one list per core holds every access and a
+  // single merge applies the same per-shard suborders — identical hierarchy
+  // results — without a merge pass per near-empty shard list.
+  num_lists_ = workers_.empty() ? 1 : num_shards_;
   // Each socket's L3 slice is a contiguous shard range (the home bits are
   // the shard index's high bits), so a task draining one socket walks one
   // slice's arrays end to end. At least one task per socket keeps every
@@ -149,14 +149,6 @@ Engine::~Engine() {
   work_cv_.notify_all();
   for (std::thread& worker : workers_) {
     worker.join();
-  }
-  if (deliver_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lk(deliver_mu_);
-      deliver_shutdown_ = true;
-    }
-    deliver_cv_.notify_all();
-    deliver_thread_.join();
   }
 }
 
@@ -281,9 +273,6 @@ void Engine::RunFor(uint64_t cycles) {
       status_.Update(m.allocator_->status());
     }
   }
-  // Settle in-flight observer delivery before the caller can read observer
-  // state: RunFor's boundary is the only synchronization point callers see.
-  WaitDeliveryIdle();
 }
 
 void Engine::RunAudit() {
@@ -385,7 +374,6 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
       }
     }
   }
-  const size_t record_shards = shard_apply_ && !ff_epoch_ ? num_shards_ : 0;
   for (int c = 0; c < cores; ++c) {
     CoreRecorder& rec = recorders_[c];
     // Calibrate the core's lower-bound cost model from the epoch just
@@ -401,7 +389,7 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
       rec.cost_scale16 =
           static_cast<uint32_t>((3ull * rec.cost_scale16 + scale16) / 4);
     }
-    rec.Reset(m.clocks_[c], record_shards);
+    rec.Reset(m.clocks_[c], num_lists_);
     if (ff_epoch_) {
       rec.ff = true;
       rec.ff_lo = ff_lo;
@@ -424,13 +412,13 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
   const auto t1 = Clock::now();
   // Fast-forward epochs never touch the hierarchy: no apply pass at all.
   if (!ff_epoch_) {
-    if (shard_apply_) {
+    if (num_lists_ == 1) {
+      ApplyShard(0);
+    } else {
       for (auto& cursor : socket_cursor_) {
         cursor.store(0, std::memory_order_relaxed);
       }
       ParallelFor(apply_tasks_, [&](int task) { ApplyTask(task); });
-    } else {
-      ApplyGlobal();
     }
   }
   const auto t2 = Clock::now();
@@ -441,10 +429,6 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
   for (EpochHook* hook : m.epoch_hooks_) {
     hook->OnEpochCommit(m.MaxClock());
   }
-  // Hand off after the epoch hooks so the delivery thread only ever
-  // overlaps the next epoch's simulate phase — allocator flushes and epoch
-  // hooks run with observers settled.
-  HandOffOrDeliver();
   const auto t3 = Clock::now();
   phase_stats_.simulate_seconds += Seconds(t0, t1);
   phase_stats_.apply_seconds += Seconds(t1, t2);
@@ -479,7 +463,7 @@ void Engine::SimulateCore(int core, uint64_t epoch_end) {
   }
 }
 
-// All apply passes merge in (t >> apply_quantum_bits, core, program order):
+// The apply pass merges in (t >> apply_quantum_bits, core, program order):
 // see EngineConfig::apply_quantum_bits. The quantized key also makes
 // same-core runs long (a core's whole quantum drains before the merge
 // switches), so the min-tree recomputes once per run, not per op — and each
@@ -487,15 +471,15 @@ void Engine::SimulateCore(int core, uint64_t epoch_end) {
 // Gathering a drain into a window before applying it changes nothing about
 // the access order; it only lets the hierarchy see the addresses of ops
 // i+1..i+k while it resolves op i.
-void Engine::ApplyShard(uint32_t shard) {
+void Engine::ApplyShard(uint32_t list) {
   Machine& m = *machine_;
   const int cores = m.num_cores();
   const int qbits = config_.apply_quantum_bits;
   // Lane faults (dropped / duplicated records) are keyed on the recorded
   // (core, timestamp, address) alone, and a drop recovers to the optimistic
-  // lower-bound result, so faulted applies stay bit-identical to the fused
-  // single-thread merge. The window reserves one slot so a duplicate always
-  // lands adjacent to its original (batch boundaries don't change results).
+  // lower-bound result, so faulted applies stay bit-identical for any list
+  // count. The window reserves one slot so a duplicate always lands
+  // adjacent to its original (batch boundaries don't change results).
   FaultPlan* const faults = m.fault_plan();
   const bool lane_faults =
       faults != nullptr && (faults->enabled(FaultSeam::kLaneDrop) ||
@@ -513,27 +497,27 @@ void Engine::ApplyShard(uint32_t shard) {
   }
   for (int c = 0; c < cores; ++c) {
     const CoreRecorder& rec = recorders_[c];
-    const auto& list = rec.shard_ops[shard];
-    if (!list.empty()) {
-      keys[c] = PackKey(rec.lane[list[0]].t >> qbits, c);
+    const auto& ops = rec.shard_ops[list];
+    if (!ops.empty()) {
+      keys[c] = PackKey(rec.lane[ops[0]].t >> qbits, c);
       ++remaining;
     }
   }
   while (remaining > 0) {
     const int core = static_cast<int>(MinKey(keys, cores) & kCoreMask);
     CoreRecorder& rec = recorders_[core];
-    const auto& list = rec.shard_ops[shard];
+    const auto& ops = rec.shard_ops[list];
     const uint64_t base = rec.epoch_start_clock;
     keys[core] = kDoneKey;
     const uint64_t limit = MinKey(keys, cores);
     uint64_t key;
     do {
-      // Gather the drain (this core's lane records, in shard-list order)
+      // Gather the drain (this core's lane records, in list order)
       // into the window, then batch-apply and scatter the packed results
       // back.
       uint32_t nw = 0;
       do {
-        const uint32_t e = list[cursor[core]];
+        const uint32_t e = ops[cursor[core]];
         const CoreRecorder::Lane& lane = rec.lane[e];
         DPROF_CHECK(lane.t - base <= 0xffff'ffffull);  // silent wrap would corrupt merge order
         const LaneFault fault = lane_faults
@@ -554,8 +538,8 @@ void Engine::ApplyShard(uint32_t shard) {
             ++nw;
           }
         }
-        key = ++cursor[core] < list.size()
-                  ? PackKey(rec.lane[list[cursor[core]]].t >> qbits, core)
+        key = ++cursor[core] < ops.size()
+                  ? PackKey(rec.lane[ops[cursor[core]]].t >> qbits, core)
                   : kDoneKey;
       } while (key < limit && nw < window_cap);
       m.hierarchy_.ApplyBatch(core, base, window, nw);
@@ -590,98 +574,6 @@ void Engine::ApplyTask(int task) {
     for (uint32_t i = cursor.fetch_add(1, std::memory_order_relaxed); i < shards_per_socket_;
          i = cursor.fetch_add(1, std::memory_order_relaxed)) {
       ApplyShard(base + i);
-    }
-  }
-}
-
-// Single-thread apply: one fused merge over all per-core streams. Hierarchy
-// state is disjoint across shards, and this global order restricts to
-// exactly the per-shard suborder on every shard, so the results are
-// bit-identical to the shard-parallel pass — without recording shard lists
-// or making one merge pass per shard over near-empty lists.
-void Engine::ApplyGlobal() {
-  Machine& m = *machine_;
-  const int cores = m.num_cores();
-  const int qbits = config_.apply_quantum_bits;
-  // Same lane-fault keying as ApplyShard: decisions depend only on the
-  // recorded op, so both apply strategies perturb identically.
-  FaultPlan* const faults = m.fault_plan();
-  const bool lane_faults =
-      faults != nullptr && (faults->enabled(FaultSeam::kLaneDrop) ||
-                            faults->enabled(FaultSeam::kLaneDup));
-  const uint32_t drop_result =
-      PackAccessResult(m.config_.hierarchy.latency.l1, ServedBy::kL1, false);
-  const uint32_t window_cap = lane_faults ? kApplyWindow - 1 : kApplyWindow;
-  uint64_t keys[kMaxCores];
-  uint32_t cursor[kMaxCores] = {0};
-  int remaining = 0;
-  for (int c = 0; c < kMaxCores; ++c) {
-    keys[c] = kDoneKey;
-  }
-  // Advances to the next access op at or after `from`; other op kinds do
-  // not touch the hierarchy.
-  auto next_access = [](const CoreRecorder& rec, uint32_t from) {
-    const uint32_t count = static_cast<uint32_t>(rec.size());
-    while (from < count &&
-           (rec.meta[from].kind & CoreRecorder::kKindMask) != SimOp::kAccess) {
-      ++from;
-    }
-    return from;
-  };
-  for (int c = 0; c < cores; ++c) {
-    const CoreRecorder& rec = recorders_[c];
-    cursor[c] = next_access(rec, 0);
-    if (cursor[c] < rec.size()) {
-      keys[c] = PackKey(rec.lane[cursor[c]].t >> qbits, c);
-      ++remaining;
-    }
-  }
-  ApplyLane window[kApplyWindow];
-  uint32_t scatter[kApplyWindow];
-  while (remaining > 0) {
-    const int core = static_cast<int>(MinKey(keys, cores) & kCoreMask);
-    CoreRecorder& rec = recorders_[core];
-    const uint32_t count = static_cast<uint32_t>(rec.size());
-    const uint64_t base = rec.epoch_start_clock;
-    keys[core] = kDoneKey;
-    const uint64_t limit = MinKey(keys, cores);
-    uint64_t key;
-    do {
-      uint32_t nw = 0;
-      do {
-        const uint32_t li = cursor[core];
-        const CoreRecorder::Lane& lane = rec.lane[li];
-        DPROF_CHECK(lane.t - base <= 0xffff'ffffull);  // silent wrap would corrupt merge order
-        const LaneFault fault = lane_faults
-                                    ? faults->LaneFaultFor(core, lane.t, lane.addr)
-                                    : LaneFault::kNone;
-        if (fault == LaneFault::kDrop) {
-          rec.lane[li].result = drop_result;
-        } else {
-          window[nw] =
-              ApplyLane{lane.addr, static_cast<uint32_t>(lane.t - base), lane.size_w};
-          scatter[nw] = li;
-          ++nw;
-          if (fault == LaneFault::kDup) {
-            window[nw] = window[nw - 1];
-            scatter[nw] = kDupScatter;
-            ++nw;
-          }
-        }
-        cursor[core] = next_access(rec, li + 1);
-        key = cursor[core] < count ? PackKey(rec.lane[cursor[core]].t >> qbits, core)
-                                   : kDoneKey;
-      } while (key < limit && nw < window_cap);
-      m.hierarchy_.ApplyBatch(core, base, window, nw);
-      for (uint32_t j = 0; j < nw; ++j) {
-        if (scatter[j] != kDupScatter) {
-          rec.lane[scatter[j]].result = window[j].size_w;
-        }
-      }
-    } while (key < limit);
-    keys[core] = key;
-    if (key == kDoneKey) {
-      --remaining;
     }
   }
 }
@@ -737,7 +629,7 @@ void Engine::FlushQuiet(int core) {
 // order, sample and hit delivery into shared handlers — is identical to
 // the fully sequential per-op merge. The segments between them commit as
 // whole per-core batches: clock trajectories are unaffected, and only the
-// interleaving of *observer* spans across cores differs (deterministically)
+// interleaving of *observer* events across cores differs (deterministically)
 // from the per-op merge.
 void Engine::CommitEpoch() {
   Machine& m = *machine_;
@@ -924,7 +816,7 @@ uint32_t Engine::CommitRun(int core, uint32_t begin, uint32_t end) {
       const uint64_t cycles = lanes[i].payload();
       clock += cycles;
       if (want_events) {
-        EmitCompute(ComputeEvent{core, metas[i].ip, cycles, clock});
+        EmitCompute(core, metas[i].ip, cycles, clock);
       }
     } else if (k == SimOp::kIdle) {
       clock += lanes[i].payload();
@@ -1138,94 +1030,14 @@ bool Engine::CommitSyncOp(int core, uint32_t index) {
 }
 
 void Engine::EmitAccess(const AccessEvent& event) {
-  EventBatch& batch = batches_[build_batch_];
-  batch.access.push_back(event);
-  if (!batch.spans.empty() && batch.spans.back().is_compute == 0) {
-    ++batch.spans.back().count;
-  } else {
-    batch.spans.push_back(
-        EventBatch::Span{0, static_cast<uint32_t>(batch.access.size() - 1), 1});
+  for (MachineObserver* obs : machine_->observers_) {
+    obs->OnAccess(event);
   }
 }
 
-void Engine::EmitCompute(const ComputeEvent& event) {
-  EventBatch& batch = batches_[build_batch_];
-  batch.compute.push_back(event);
-  if (!batch.spans.empty() && batch.spans.back().is_compute == 1) {
-    ++batch.spans.back().count;
-  } else {
-    batch.spans.push_back(
-        EventBatch::Span{1, static_cast<uint32_t>(batch.compute.size() - 1), 1});
-  }
-}
-
-void Engine::DeliverBatch(const EventBatch& batch) {
-  if (batch.IsEmpty()) {
-    return;
-  }
-  const auto start = Clock::now();
-  Machine& m = *machine_;
-  for (const EventBatch::Span& span : batch.spans) {
-    if (span.is_compute != 0) {
-      for (MachineObserver* obs : m.observers_) {
-        obs->OnComputeBatch(&batch.compute[span.offset], span.count);
-      }
-    } else {
-      for (MachineObserver* obs : m.observers_) {
-        obs->OnAccessBatch(&batch.access[span.offset], span.count);
-      }
-    }
-  }
-  phase_stats_.deliver_seconds += Seconds(start, Clock::now());
-}
-
-// Hands the built batch to the delivery thread so observers consume epoch
-// N's events while epoch N+1 simulates; the simulate phase touches only
-// core-owned state and observers are pure sinks nothing reads before the
-// next RunFor boundary, so the overlap is invisible to the results. With
-// one thread (or nothing to deliver) delivery runs inline.
-void Engine::HandOffOrDeliver() {
-  EventBatch& built = batches_[build_batch_];
-  if (built.IsEmpty()) {
-    return;
-  }
-  if (threads_ <= 1) {
-    DeliverBatch(built);
-    built.Clear();
-    return;
-  }
-  std::unique_lock<std::mutex> lk(deliver_mu_);
-  if (!deliver_thread_.joinable()) {
-    deliver_thread_ = std::thread(&Engine::DeliveryLoop, this);
-  }
-  deliver_cv_.wait(lk, [&] { return !deliver_pending_; });
-  build_batch_ = 1 - build_batch_;
-  deliver_pending_ = true;
-  deliver_cv_.notify_all();
-}
-
-void Engine::WaitDeliveryIdle() {
-  if (!deliver_thread_.joinable()) {
-    return;
-  }
-  std::unique_lock<std::mutex> lk(deliver_mu_);
-  deliver_cv_.wait(lk, [&] { return !deliver_pending_; });
-}
-
-void Engine::DeliveryLoop() {
-  std::unique_lock<std::mutex> lk(deliver_mu_);
-  while (true) {
-    deliver_cv_.wait(lk, [&] { return deliver_shutdown_ || deliver_pending_; });
-    if (!deliver_pending_) {
-      return;  // shutdown with nothing in flight
-    }
-    EventBatch& batch = batches_[1 - build_batch_];
-    lk.unlock();
-    DeliverBatch(batch);
-    lk.lock();
-    batch.Clear();
-    deliver_pending_ = false;
-    deliver_cv_.notify_all();
+void Engine::EmitCompute(int core, FunctionId ip, uint64_t cycles, uint64_t now) {
+  for (MachineObserver* obs : machine_->observers_) {
+    obs->OnCompute(core, ip, cycles, now);
   }
 }
 

@@ -12,17 +12,19 @@
 //      operation, and allocation event is appended to the core's SoA op
 //      queue with its lower-bound timestamp.
 //   2. APPLY (parallel over hierarchy shards): the recorded accesses are
-//      merged per shard in (timestamp quantum, core, program order) — see
-//      EngineConfig::apply_quantum_bits — and applied to the cache
+//      merged per shard list in (timestamp quantum, core, program order) —
+//      see EngineConfig::apply_quantum_bits — and applied to the cache
 //      hierarchy. All hierarchy state partitions by line number
-//      (CacheHierarchy::num_shards), so shard workers never share state,
-//      and each shard's merge order is a pure function of the recorded
-//      queues. At one thread the same suborders are produced by a single
-//      fused merge with no shard lists. Every merge drain is a single-core
-//      span handed to CacheHierarchy::ApplyBatch, whose software pipeline
-//      prefetches the tag rows of the access kPrefetchDepth ahead while
-//      the current one resolves; each op's packed latency/level/
-//      invalidation result is stored back into its lane record.
+//      (CacheHierarchy::num_shards), so with worker threads each hierarchy
+//      shard has its own list and shard workers never share state. Without
+//      workers every access goes to one list, and the single merge over it
+//      restricts to the same per-shard suborder on every shard. Either way
+//      each list's merge order is a pure function of the recorded queues.
+//      Every merge drain is a single-core span handed to
+//      CacheHierarchy::ApplyBatch, whose software pipeline prefetches the
+//      tag rows of the access kPrefetchDepth ahead while the current one
+//      resolves; each op's packed latency/level/invalidation result is
+//      stored back into its lane record.
 //   3. COMMIT (sequential): exact core clocks are reconstructed — memory
 //      latencies, PMU interrupt charges, and lock waits accumulate per
 //      core — and every observer, PMU hook, lock observer, and allocation
@@ -41,11 +43,8 @@
 // consulted through the batch contract on PmuHook (QuietOps /
 // OnQuietAccessBatch / AccessFilter): an access only pays for event
 // assembly and virtual dispatch when some hook can actually act on it.
-// Observer delivery is span-based (MachineObserver::OnAccessBatch /
-// OnComputeBatch) and, when the engine owns worker threads, overlaps the
-// next epoch's simulate phase: observers are pure sinks, so handing the
-// fully-assembled event buffer of epoch N to a delivery thread while epoch
-// N+1 simulates changes nothing about its content or order.
+// Observers are called inline, per event, at the point each access or
+// compute op commits, so they see the committed stream in commit order.
 //
 // Because phase 1 is core-local, phase 2 is shard-local with a fixed merge
 // order, and phase 3's schedule is a pure function of the recorded queues
@@ -128,14 +127,11 @@ struct EngineConfig {
 };
 
 // Host wall-clock spent in each engine phase, accumulated across epochs.
-// deliver_seconds counts span delivery to observers wherever it ran: on the
-// delivery thread when commit overlaps the next simulate phase, inside the
-// commit phase (and therefore also inside commit_seconds) at one thread.
 struct EnginePhaseStats {
   double simulate_seconds = 0.0;
   double apply_seconds = 0.0;
   double commit_seconds = 0.0;
-  double deliver_seconds = 0.0;
+  double deliver_seconds = 0.0;  // ignored (always 0); perfbench/harness.cc still reads it
   uint64_t epochs = 0;
   uint64_t elided_epochs = 0;  // ignored (always 0); perfbench/harness.cc still reads it
   uint64_t ff_epochs = 0;      // epochs fast-forwarded by the sampling controller
@@ -186,27 +182,6 @@ class Engine final : public Executor {
     bool want_events = false;         // any MachineObserver attached
   };
 
-  // One epoch's observer-bound event stream: homogeneous spans over the two
-  // typed buffers, in exact commit order. Double-buffered so delivery of
-  // epoch N can overlap epoch N+1's simulate phase.
-  struct EventBatch {
-    struct Span {
-      uint8_t is_compute;
-      uint32_t offset;
-      uint32_t count;
-    };
-    std::vector<AccessEvent> access;
-    std::vector<ComputeEvent> compute;
-    std::vector<Span> spans;
-
-    bool IsEmpty() const { return spans.empty(); }
-    void Clear() {
-      access.clear();
-      compute.clear();
-      spans.clear();
-    }
-  };
-
   // Runs one epoch starting at the committed min-clock. `epoch_cycles` is the
   // nominal epoch length; fast-forward epochs stretch it (bounded by the
   // sampler's runway and config cap) to amortize per-epoch overhead.
@@ -216,11 +191,11 @@ class Engine final : public Executor {
   // fault plan arms kLatticeCorrupt (the detection-coverage harness).
   void RunAudit();
   void SimulateCore(int core, uint64_t epoch_end);
-  void ApplyShard(uint32_t shard);
+  // Merges and applies every core's shard_ops[list].
+  void ApplyShard(uint32_t list);
   // Shard-parallel apply task `task`: drains the shard range of socket
   // task % num_sockets_, then steals from the other sockets round-robin.
   void ApplyTask(int task);
-  void ApplyGlobal();
   void CommitEpoch();
 
   // Commits ops of `core` starting at `begin` within a sync-free segment
@@ -241,7 +216,8 @@ class Engine final : public Executor {
   // lock whose release is still pending (op not consumed).
   bool CommitSyncOp(int core, uint32_t index);
   // Full per-op path for an access some hook may act on: assembles the
-  // event, delivers it, and lets every PMU hook charge the core.
+  // event, passes it to the observers, and lets every PMU hook charge the
+  // core.
   void DispatchAccess(int core, uint32_t index, uint64_t& clock);
 
   void ResyncSink();
@@ -249,11 +225,7 @@ class Engine final : public Executor {
   void FlushQuiet(int core);
 
   void EmitAccess(const AccessEvent& event);
-  void EmitCompute(const ComputeEvent& event);
-  void DeliverBatch(const EventBatch& batch);
-  void HandOffOrDeliver();
-  void WaitDeliveryIdle();
-  void DeliveryLoop();
+  void EmitCompute(int core, FunctionId ip, uint64_t cycles, uint64_t now);
 
   // Runs fn(0..count-1) on the worker pool; the calling thread participates.
   void ParallelFor(int count, const std::function<void(int)>& fn);
@@ -265,11 +237,11 @@ class Engine final : public Executor {
   EngineConfig config_;
   int threads_ = 1;
   uint32_t num_shards_ = 1;
-  // Shard-parallel apply when worker threads exist; fused single merge
-  // (bit-identical results, no shard lists) otherwise. The shard-parallel
-  // pass runs apply_tasks_ ApplyTask calls over per-socket claim cursors;
+  // Apply lists per core: num_shards_ when worker threads exist, else 1
+  // (one merge, bit-identical results). With more than one list the apply
+  // phase runs apply_tasks_ ApplyTask calls over per-socket claim cursors;
   // each socket owns the contiguous shard range of shards_per_socket_.
-  bool shard_apply_ = false;
+  uint32_t num_lists_ = 1;
   int apply_tasks_ = 1;
   int num_sockets_ = 1;
   uint32_t shards_per_socket_ = 1;
@@ -307,16 +279,6 @@ class Engine final : public Executor {
   uint64_t gate_quiet_[kMaxCores];
   uint64_t gate_skipped_[kMaxCores];
   uint8_t gate_unbounded_[kMaxCores];
-
-  // Observer delivery. batches_[build_batch_] is filled by the commit pass;
-  // the other slot may be in flight on the delivery thread.
-  EventBatch batches_[2];
-  int build_batch_ = 0;
-  std::thread deliver_thread_;
-  std::mutex deliver_mu_;
-  std::condition_variable deliver_cv_;
-  bool deliver_pending_ = false;
-  bool deliver_shutdown_ = false;
 
   // Worker pool (created only when threads > 1). All dispatch state is
   // guarded by mu_; generation_ identifies the current dispatch so a

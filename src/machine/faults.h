@@ -90,8 +90,8 @@ class FaultPlan {
   // charging a reclaim stall and retrying (the retry always succeeds).
   bool SlabGrowFails(int core, uint64_t slab_ordinal);
 
-  // Fate of the lane record (core, t, addr). Identical in the shard-parallel
-  // and fused-global apply paths because both see the same coordinates.
+  // Fate of the lane record (core, t, addr). Identical for any apply list
+  // count because every count sees the same coordinates.
   LaneFault LaneFaultFor(int core, uint64_t t, Addr addr);
 
   // Deterministic per-core clock skew injected at the start of the epoch

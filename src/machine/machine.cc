@@ -160,9 +160,8 @@ AccessResult CoreContext::Access(FunctionId ip, Addr addr, uint32_t size, bool i
           static_cast<uint32_t>(line_size - (at & (line_size - 1)));
       const uint32_t chunk = remaining < line_room ? remaining : line_room;
       ++rec.accesses;
-      if (rec.record_shards) {
-        rec.shard_ops[m.hierarchy_.ShardOf(at)].push_back(static_cast<uint32_t>(rec.size()));
-      }
+      rec.shard_ops[m.hierarchy_.ShardOf(at) & rec.list_mask].push_back(
+          static_cast<uint32_t>(rec.size()));
       rec.PushAccess(rec.lb, at, chunk | write_bit, ip);
       rec.ChargeAccess(raw_cost);
       total.latency += l1_latency;

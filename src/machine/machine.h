@@ -60,35 +60,16 @@ struct AccessEvent {
   uint64_t now = 0;           // core clock after the access completed
 };
 
-// One compute burst, the span-delivery counterpart of the OnCompute virtual.
-struct ComputeEvent {
-  int core = 0;
-  FunctionId ip = kInvalidFunction;
-  uint64_t cycles = 0;
-  uint64_t now = 0;
-};
-
+// Passive sink for every committed access and compute operation. Both the
+// legacy loop and the epoch engine call it inline, once per event, on the
+// thread that commits the operation; the engine's commit pass is sequential,
+// so observers need no locking. Attaching one forces the engine's sampled
+// mode to run every epoch detailed.
 class MachineObserver {
  public:
   virtual ~MachineObserver() = default;
   virtual void OnAccess(const AccessEvent& event) = 0;
   virtual void OnCompute(int core, FunctionId ip, uint64_t cycles, uint64_t now) = 0;
-
-  // Span-based delivery. The epoch engine accumulates contiguous runs of
-  // committed events and hands them over in batches instead of making one
-  // virtual call per operation. The defaults reproduce per-event dispatch
-  // exactly — same events, same order — so overriding is purely an
-  // optimization for hot observers (e.g. CodeProfiler).
-  virtual void OnAccessBatch(const AccessEvent* events, size_t count) {
-    for (size_t i = 0; i < count; ++i) {
-      OnAccess(events[i]);
-    }
-  }
-  virtual void OnComputeBatch(const ComputeEvent* events, size_t count) {
-    for (size_t i = 0; i < count; ++i) {
-      OnCompute(events[i].core, events[i].ip, events[i].cycles, events[i].now);
-    }
-  }
 };
 
 // Hardware performance-monitoring hook. Returns extra cycles (interrupt and
@@ -295,9 +276,10 @@ struct SimOp {
 //    actually assembled).
 //  - sync_points[]: indices of kind >= kFirstSync ops, recorded at push
 //    time so the commit pass splits segments without rescanning.
-//  - shard_ops[]: per-hierarchy-shard access indices, recorded only when
-//    the engine runs the apply pass shard-parallel (record_shards); the
-//    single-thread apply uses one fused merge over the lane streams.
+//  - shard_ops[]: access indices per apply list, in program order. The
+//    engine keeps one list per hierarchy shard when it has worker threads
+//    and a single list when it has none; fast-forwarded accesses never
+//    reach a list.
 //
 // Each recorder starts on its own host cache line: the engine keeps them in
 // one vector and simulate workers write their headers (lb, n, cost sums) on
@@ -339,14 +321,14 @@ class alignas(64) CoreRecorder {
     return PackedAccessInvalidation(result);
   }
 
-  // num_shards == 0 disables shard-list recording (single-thread apply).
-  // The engine sets the fast-forward fields (ff/ff_lo/ff_hi) after Reset.
-  void Reset(uint64_t committed_clock, size_t num_shards) {
+  // num_lists is 1 or the hierarchy's (power-of-two) shard count. The
+  // engine sets the fast-forward fields (ff/ff_lo/ff_hi) after Reset.
+  void Reset(uint64_t committed_clock, uint32_t num_lists) {
     n = 0;
     sync_points.clear();
-    record_shards = num_shards > 0;
-    if (shard_ops.size() != num_shards) {
-      shard_ops.resize(num_shards);
+    list_mask = num_lists - 1;
+    if (shard_ops.size() != num_lists) {
+      shard_ops.resize(num_lists);
     }
     for (auto& list : shard_ops) {
       list.clear();
@@ -497,9 +479,9 @@ class alignas(64) CoreRecorder {
   bool run_open = false;  // last op is this epoch's open kFfRun
   uint64_t accesses = 0;  // line-chunk accesses recorded this epoch (any mode)
   std::vector<uint32_t> sync_points;
-  // Indices of kAccess ops per hierarchy shard, in program order; filled
-  // only when record_shards (shard-parallel apply).
-  bool record_shards = false;
+  // Indices of kAccess ops per apply list, in program order: an access
+  // goes to shard_ops[ShardOf(addr) & list_mask].
+  uint32_t list_mask = 0;
   std::vector<std::vector<uint32_t>> shard_ops;
   uint64_t lb = 0;
   uint64_t epoch_start_clock = 0;

@@ -30,11 +30,6 @@ class CodeProfiler final : public MachineObserver {
   // MachineObserver:
   void OnAccess(const AccessEvent& event) override;
   void OnCompute(int core, FunctionId ip, uint64_t cycles, uint64_t now) override;
-  // Span delivery: same accounting as the per-event virtuals, but the loop
-  // is devirtualized and consecutive events from one function share a
-  // single hash lookup (runs of equal ip dominate committed streams).
-  void OnAccessBatch(const AccessEvent* events, size_t count) override;
-  void OnComputeBatch(const ComputeEvent* events, size_t count) override;
 
   void Reset();
 

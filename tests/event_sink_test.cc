@@ -1,13 +1,16 @@
-// Batch/virtual equivalence of the engine's fused event sink.
+// The engine's commit-pass event sink.
 //
-// The commit pass delivers observer events through the span-based
-// OnAccessBatch/OnComputeBatch entry points and consults PMU hooks through
-// the QuietOps/OnQuietAccessBatch/AccessFilter contract. Every test here
-// pins the core guarantee: the batched paths produce exactly the event
-// stream and sampling decisions that per-op virtual dispatch produces.
+// The commit pass calls MachineObserver::OnAccess/OnCompute inline, once per
+// committed op, and consults PMU hooks through the QuietOps /
+// OnQuietAccessBatch / AccessFilter contract. The tests here pin what that
+// must preserve: each core's observed stream is its program order, the
+// stream is identical for every host thread count, and the batched PMU
+// paths take exactly the sampling decisions per-op dispatch takes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -16,41 +19,24 @@
 #include "src/pmu/debug_registers.h"
 #include "src/pmu/ibs_unit.h"
 #include "src/profilers/code_profiler.h"
-#include "src/workload/memcached.h"
 
 namespace dprof {
 namespace {
 
+// (core, ip, addr, size, is_write, latency or compute cycles, now, is_compute)
 using Recorded = std::tuple<int, FunctionId, Addr, uint32_t, bool, uint32_t, uint64_t, bool>;
 
-Recorded Key(const AccessEvent& e) {
-  return {e.core, e.ip, e.addr, e.size, e.is_write, e.latency, e.now, false};
-}
-
-// Receives events through the default batch implementations, i.e. via the
-// per-event virtuals.
-struct VirtualRecorder : MachineObserver {
-  void OnAccess(const AccessEvent& event) override { stream.push_back(Key(event)); }
+struct Recorder final : MachineObserver {
+  void OnAccess(const AccessEvent& e) override {
+    stream.push_back({e.core, e.ip, e.addr, e.size, e.is_write, e.latency, e.now, false});
+  }
   void OnCompute(int core, FunctionId ip, uint64_t cycles, uint64_t now) override {
     stream.push_back({core, ip, 0, 0, false, static_cast<uint32_t>(cycles), now, true});
   }
   std::vector<Recorded> stream;
 };
 
-// Consumes whole spans; must observe the identical stream.
-struct BatchRecorder final : VirtualRecorder {
-  void OnAccessBatch(const AccessEvent* events, size_t count) override {
-    for (size_t i = 0; i < count; ++i) {
-      stream.push_back(Key(events[i]));
-    }
-  }
-  void OnComputeBatch(const ComputeEvent* events, size_t count) override {
-    for (size_t i = 0; i < count; ++i) {
-      stream.push_back({events[i].core, events[i].ip, 0, 0, false,
-                        static_cast<uint32_t>(events[i].cycles), events[i].now, true});
-    }
-  }
-};
+constexpr Addr kLockWord = 0xa000;
 
 struct MixedDriver final : CoreDriver {
   explicit MixedDriver(SimLock* lock) : lock(lock) {}
@@ -71,95 +57,88 @@ struct MixedDriver final : CoreDriver {
   uint64_t steps = 0;
 };
 
-TEST(EventSinkTest, BatchedDeliveryMatchesPerOpVirtualDispatch) {
+// The events MixedDriver's first `steps` steps on `core` produce, in program
+// order, without the committed latency and clock fields.
+std::vector<Recorded> ExpectedProgram(int core, uint64_t steps) {
+  const Addr base = 0x100000 + static_cast<Addr>(core) * 0x40000;
+  std::vector<Recorded> program;
+  for (uint64_t s = 0; s < steps; ++s) {
+    program.push_back({core, 1, base + (s % 128) * 64, 32, false, 0, 0, false});
+    program.push_back({core, 2, 0, 0, false, 40, 0, true});
+    program.push_back({core, 3, 0x900000 + (s % 8) * 64, 8, true, 0, 0, false});
+    if (s % 5 == 0) {
+      program.push_back({core, 4, kLockWord, 8, true, 0, 0, false});
+      program.push_back({core, 4, 0, 0, false, 25, 0, true});
+      program.push_back({core, 4, kLockWord, 8, true, 0, 0, false});
+    }
+  }
+  return program;
+}
+
+std::vector<Recorded> RunMixed(int threads, IbsUnit* ibs, std::vector<uint64_t>* steps) {
   MachineConfig config;
   config.hierarchy.num_cores = 4;
   Machine machine(config);
-  SimLock lock("sink lock", 0xa000);
+  SimLock lock("sink lock", kLockWord);
   std::vector<MixedDriver> drivers(4, MixedDriver(&lock));
   for (int c = 0; c < 4; ++c) {
     machine.SetDriver(c, &drivers[c]);
   }
-  VirtualRecorder virtual_obs;
-  BatchRecorder batch_obs;
-  machine.AddObserver(&virtual_obs);
-  machine.AddObserver(&batch_obs);
-  // An enabled IBS unit forces mid-segment dispatch points, so spans split
-  // and single sampled events interleave with batches.
+  Recorder recorder;
+  machine.AddObserver(&recorder);
+  if (ibs != nullptr) {
+    machine.AddPmuHook(ibs);
+  }
+  Engine engine(&machine, EngineConfig{threads, 10'000});
+  machine.SetExecutor(&engine);
+  machine.RunFor(200'000);
+  if (steps != nullptr) {
+    for (int c = 0; c < 4; ++c) {
+      steps->push_back(drivers[c].steps);
+    }
+  }
+  return recorder.stream;
+}
+
+TEST(EventSinkTest, PerEventDeliveryFollowsProgramOrderUnderIbsSplits) {
+  // An enabled IBS unit forces mid-segment dispatch points, so sampled
+  // accesses commit through DispatchAccess between whole-segment runs.
   IbsConfig ibs_config;
   ibs_config.period_ops = 64;
   IbsUnit ibs(4, ibs_config);
-  machine.AddPmuHook(&ibs);
-
-  Engine engine(&machine, EngineConfig{1, 10'000});
-  machine.SetExecutor(&engine);
-  machine.RunFor(200'000);
-
-  ASSERT_FALSE(virtual_obs.stream.empty());
+  std::vector<uint64_t> steps;
+  const std::vector<Recorded> stream = RunMixed(1, &ibs, &steps);
+  ASSERT_FALSE(stream.empty());
   EXPECT_GT(ibs.samples_taken(), 0u);
-  EXPECT_EQ(virtual_obs.stream, batch_obs.stream);
-}
 
-TEST(EventSinkTest, BatchObserverIdenticalAcrossThreadCounts) {
-  auto run = [](int threads) {
-    MachineConfig config;
-    config.hierarchy.num_cores = 4;
-    Machine machine(config);
-    SimLock lock("sink lock", 0xa000);
-    std::vector<MixedDriver> drivers(4, MixedDriver(&lock));
-    for (int c = 0; c < 4; ++c) {
-      machine.SetDriver(c, &drivers[c]);
+  // Every recorded op is committed and observed exactly once, each core's
+  // events in program order, at strictly increasing committed clocks.
+  for (int c = 0; c < 4; ++c) {
+    SCOPED_TRACE("core " + std::to_string(c));
+    std::vector<Recorded> observed;
+    uint64_t last_now = 0;
+    for (const Recorded& e : stream) {
+      if (std::get<0>(e) != c) {
+        continue;
+      }
+      EXPECT_GT(std::get<6>(e), last_now);
+      last_now = std::get<6>(e);
+      Recorded shape = e;
+      std::get<6>(shape) = 0;
+      if (!std::get<7>(shape)) {
+        std::get<5>(shape) = 0;  // committed latency
+      }
+      observed.push_back(shape);
     }
-    BatchRecorder batch_obs;
-    machine.AddObserver(&batch_obs);
-    Engine engine(&machine, EngineConfig{threads, 10'000});
-    machine.SetExecutor(&engine);
-    machine.RunFor(200'000);
-    return batch_obs.stream;
-  };
-  const std::vector<Recorded> t1 = run(1);
-  ASSERT_FALSE(t1.empty());
-  EXPECT_EQ(t1, run(4));  // overlapped delivery must not reorder or drop
-}
-
-TEST(EventSinkTest, CodeProfilerBatchMatchesVirtualAccounting) {
-  // CodeProfiler overrides the batch entry points; a plain forwarding
-  // observer goes through the default per-event loop. Their reports must
-  // agree exactly.
-  struct Forwarder final : MachineObserver {
-    explicit Forwarder(CodeProfiler* p) : p(p) {}
-    void OnAccess(const AccessEvent& event) override { p->OnAccess(event); }
-    void OnCompute(int core, FunctionId ip, uint64_t cycles, uint64_t now) override {
-      p->OnCompute(core, ip, cycles, now);
-    }
-    CodeProfiler* p;
-  };
-  MachineConfig config;
-  config.hierarchy.num_cores = 2;
-  Machine machine(config);
-  std::vector<MixedDriver> drivers(2, MixedDriver(nullptr));
-  machine.SetDriver(0, &drivers[0]);
-  machine.SetDriver(1, &drivers[1]);
-  CodeProfiler batched;
-  CodeProfiler virtual_only;
-  Forwarder forwarder(&virtual_only);
-  machine.AddObserver(&batched);
-  machine.AddObserver(&forwarder);
-  Engine engine(&machine, EngineConfig{1, 10'000});
-  machine.SetExecutor(&engine);
-  machine.RunFor(150'000);
-
-  EXPECT_GT(batched.total_cycles(), 0u);
-  EXPECT_EQ(batched.total_cycles(), virtual_only.total_cycles());
-  EXPECT_EQ(batched.total_l2_misses(), virtual_only.total_l2_misses());
-  const auto rows_b = batched.Report(machine.symbols(), 0.0);
-  const auto rows_v = virtual_only.Report(machine.symbols(), 0.0);
-  ASSERT_EQ(rows_b.size(), rows_v.size());
-  for (size_t i = 0; i < rows_b.size(); ++i) {
-    EXPECT_EQ(rows_b[i].fn, rows_v[i].fn);
-    EXPECT_EQ(rows_b[i].cycles, rows_v[i].cycles);
-    EXPECT_EQ(rows_b[i].l2_misses, rows_v[i].l2_misses);
+    ASSERT_GT(steps[c], 0u);
+    EXPECT_EQ(observed, ExpectedProgram(c, steps[c]));
   }
+}
+
+TEST(EventSinkTest, ObserverIdenticalAcrossThreadCounts) {
+  const std::vector<Recorded> t1 = RunMixed(1, nullptr, nullptr);
+  ASSERT_FALSE(t1.empty());
+  EXPECT_EQ(t1, RunMixed(4, nullptr, nullptr));  // worker threads must not reorder or drop
 }
 
 TEST(EventSinkTest, IbsQuietSkipMatchesPerOpCountdown) {
@@ -231,21 +210,76 @@ TEST(EventSinkTest, DebugRegisterFilterWindow) {
   EXPECT_EQ(regs.QuietOps(0), PmuHook::kQuietUnbounded);
 }
 
-// End-to-end guard: a scenario run with an attached batch observer stays
-// byte-identical across thread counts (overlapped delivery included).
+// End-to-end guard: an observer, live PMU hooks (IBS in phase 1,
+// watchpoints in phase 2) and worker threads together. The memcached rig is
+// built the way golden_stats_test builds it, with a CodeProfiler attached;
+// its rows, the committed clocks and the hierarchy totals must not depend
+// on the thread count.
 TEST(EventSinkTest, ScenarioWithObserverDeterministicAcrossThreads) {
+  struct Outcome {
+    std::vector<FunctionProfileRow> rows;
+    uint64_t profiled_cycles = 0;
+    uint64_t profiled_l2_misses = 0;
+    std::vector<uint64_t> clocks;
+    HierarchyTotals totals;
+    uint64_t ibs_samples = 0;
+    uint64_t watchpoint_hits = 0;
+  };
   auto run = [](int threads) {
+    const ScenarioInfo* info = ScenarioRegistry::Default().Find("memcached");
+    EXPECT_NE(info, nullptr);
     RunSpec params;
     params.cores = 4;
-    params.collect_cycles = 1'500'000;
     params.threads = threads;
     params.build_view_json = false;
-    const ScenarioReport report =
-        RunScenario(ScenarioRegistry::Default(), "memcached", params);
-    return ScenarioReportToJson(report);
+    auto rig = info->factory(params);
+    rig->workload->Install(*rig->machine);
+    CodeProfiler profiler;
+    rig->machine->AddObserver(&profiler);
+    Engine engine(rig->machine.get(), EngineConfig{threads});
+    rig->machine->SetExecutor(&engine);
+    DProfSession session(rig->machine.get(), rig->allocator.get(), rig->options);
+    session.CollectAccessSamples(1'500'000);
+    session.CollectHistoriesForTopTypes(2, 2);
+
+    Outcome out;
+    out.rows = profiler.Report(rig->machine->symbols(), 0.0);
+    out.profiled_cycles = profiler.total_cycles();
+    out.profiled_l2_misses = profiler.total_l2_misses();
+    for (int c = 0; c < rig->machine->num_cores(); ++c) {
+      out.clocks.push_back(rig->machine->CoreClock(c));
+    }
+    out.totals = rig->machine->hierarchy().Totals();
+    out.ibs_samples = session.ibs().samples_taken();
+    out.watchpoint_hits = session.debug_registers().hits();
+    return out;
   };
-  const std::string t1 = run(1);
-  EXPECT_EQ(t1, run(4));
+  const Outcome t1 = run(1);
+  const Outcome t4 = run(4);
+  ASSERT_FALSE(t1.rows.empty());
+  EXPECT_GT(t1.profiled_cycles, 0u);
+  EXPECT_GT(t1.ibs_samples, 0u);
+  EXPECT_GT(t1.watchpoint_hits, 0u);
+  ASSERT_EQ(t1.rows.size(), t4.rows.size());
+  for (size_t i = 0; i < t1.rows.size(); ++i) {
+    EXPECT_EQ(t1.rows[i].fn, t4.rows[i].fn);
+    EXPECT_EQ(t1.rows[i].cycles, t4.rows[i].cycles);
+    EXPECT_EQ(t1.rows[i].l2_misses, t4.rows[i].l2_misses);
+  }
+  EXPECT_EQ(t1.profiled_cycles, t4.profiled_cycles);
+  EXPECT_EQ(t1.profiled_l2_misses, t4.profiled_l2_misses);
+  EXPECT_EQ(t1.ibs_samples, t4.ibs_samples);
+  EXPECT_EQ(t1.watchpoint_hits, t4.watchpoint_hits);
+  EXPECT_EQ(t1.clocks, t4.clocks);
+  EXPECT_EQ(t1.totals.accesses, t4.totals.accesses);
+  EXPECT_EQ(t1.totals.l1_hits, t4.totals.l1_hits);
+  EXPECT_EQ(t1.totals.l1_misses, t4.totals.l1_misses);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(t1.totals.served[i], t4.totals.served[i]) << "served level " << i;
+  }
+  EXPECT_EQ(t1.totals.invalidation_misses, t4.totals.invalidation_misses);
+  EXPECT_EQ(t1.totals.tag_reclaims, t4.totals.tag_reclaims);
+  EXPECT_EQ(t1.totals.back_invalidations, t4.totals.back_invalidations);
 }
 
 }  // namespace
