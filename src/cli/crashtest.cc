@@ -1,9 +1,8 @@
 #include "src/cli/crashtest.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string>
+#include <vector>
 
 #include "src/cli/scenario_registry.h"
 #include "src/machine/faults.h"
@@ -131,33 +130,7 @@ std::string MatrixToJson(const std::vector<CellResult>& cells, bool pass) {
 
 }  // namespace
 
-int CmdCrashtest(const std::vector<std::string>& args) {
-  bool json = false;
-  int threads = 0;
-  for (size_t i = 2; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--threads") {
-      if (i + 1 >= args.size()) {
-        std::fprintf(stderr, "dprof: --threads requires a value\n");
-        return 2;
-      }
-      errno = 0;
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(args[++i].c_str(), &end, 10);
-      if (errno != 0 || end == args[i].c_str() || *end != '\0' || parsed > 1024) {
-        std::fprintf(stderr, "dprof: --threads must be an integer in [0, 1024]\n");
-        return 2;
-      }
-      threads = static_cast<int>(parsed);
-    } else {
-      std::fprintf(stderr, "dprof: unknown flag '%s' (accepted here: --json --threads)\n",
-                   arg.c_str());
-      return 2;
-    }
-  }
-
+int CmdCrashtest(bool json, int threads) {
   std::vector<CellResult> cells;
   uint64_t injected_by_seam[kNumFaultSeams] = {};
   for (const char* scenario : kScenarios) {

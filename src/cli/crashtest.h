@@ -14,15 +14,12 @@
 #ifndef DPROF_SRC_CLI_CRASHTEST_H_
 #define DPROF_SRC_CLI_CRASHTEST_H_
 
-#include <string>
-#include <vector>
-
 namespace dprof {
 
-// Entry point for `dprof crashtest [--json] [--threads N]`. Returns 0 iff
-// every cell ended in its expected outcome and every seam fired in at least
-// one scenario.
-int CmdCrashtest(const std::vector<std::string>& args);
+// Runs `dprof crashtest [--json] [--threads N]` with its flags already
+// parsed (src/cli/main.cc). Returns 0 iff every cell ended in its expected
+// outcome and every seam fired in at least one scenario.
+int CmdCrashtest(bool json, int threads);
 
 }  // namespace dprof
 

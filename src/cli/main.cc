@@ -13,16 +13,16 @@
 // silently ignored.
 //
 // Flags:
-//   --json             machine-readable output (run, whatif, bench)
+//   --json             machine-readable output (run, whatif, bench, crashtest)
 //   --cores N          simulated cores (run, whatif; default 16)
 //   --topology NAME    machine topology preset (run, whatif): paper-amd
 //                      (4 sockets x 4 cores, 4MB L3 slice each) or big
 //                      (4 sockets x 16 cores, 16MB slices); overrides --cores
 //   --cycles N         phase-1 collection length in simulated cycles
-//   --threads N        host worker threads (run: epoch engine workers;
-//                      whatif: parallel candidate experiments; default 0 =
-//                      hardware concurrency; output is bit-identical for
-//                      every value)
+//   --threads N        host worker threads (run, crashtest: epoch engine
+//                      workers; whatif: parallel candidate experiments;
+//                      default 0 = hardware concurrency; output is
+//                      bit-identical for every value)
 //   --type NAME        run: per-type path-trace drill-down;
 //                      whatif: the type the next --fix applies to
 //   --fix KIND         whatif: candidate transform for the preceding --type
@@ -559,7 +559,11 @@ int Main(int argc, char** argv) {
   if (command == "run") return CmdRun(args);
   if (command == "whatif") return CmdWhatIf(args);
   if (command == "bench") return CmdBench(args);
-  if (command == "crashtest") return CmdCrashtest(args);
+  if (command == "crashtest") {
+    ParsedFlags flags;
+    if (!ParseFlags(args, 2, "--json --threads", &flags)) return 2;
+    return CmdCrashtest(flags.json, flags.threads);
+  }
   if (command == "help" || command == "--help" || command == "-h") return Usage(stdout);
   std::fprintf(stderr, "dprof: unknown command '%s'\n", command.c_str());
   return Usage(stderr);

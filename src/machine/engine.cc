@@ -95,6 +95,35 @@ inline AccessEvent MakeAccessEvent(int core, const CoreRecorder::Lane& lane,
   return event;
 }
 
+// Commits one core-local, non-access op: compute/idle bursts and
+// fast-forwarded runs advance the clock, probe markers open and close the
+// latency window. A kFfRun's estimate is base cost + estimated latency per
+// access, so an open probe integrates the latency share. Shared by both
+// CommitRun loops; compute reaches it only when no observer wants events.
+__attribute__((always_inline)) inline void CommitLocalOp(uint8_t k, const CoreRecorder::Lane& lane,
+                                                         uint64_t base_cost, uint64_t& clock,
+                                                         uint64_t& probe_lat, uint8_t& probing) {
+  if (k == SimOp::kCompute || k == SimOp::kIdle) {
+    clock += lane.payload();
+  } else if (k == SimOp::kFfRun) {
+    const uint64_t est = lane.payload();
+    clock += est;
+    if (probing != 0) {
+      probe_lat += est - lane.addr * base_cost;
+    }
+  } else if (k == SimOp::kProbeBegin) {
+    probing = 1;
+    probe_lat = 0;
+  } else {
+    DPROF_DCHECK(k == SimOp::kProbeEnd);
+    probing = 0;
+    double divisor = 1.0;
+    const uint64_t bits = lane.payload();
+    __builtin_memcpy(&divisor, &bits, sizeof(double));
+    reinterpret_cast<RunningStat*>(lane.addr)->Add(static_cast<double>(probe_lat) / divisor);
+  }
+}
+
 }  // namespace
 
 Engine::Engine(Machine* machine, const EngineConfig& config)
@@ -402,7 +431,7 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
     if (faults != nullptr && epoch_end > min_clock) {
       const uint32_t skew = faults->ClockSkew(c, epochs_run_);
       if (skew != 0) {
-        rec.PushCycles(SimOp::kIdle, rec.lb, skew, kInvalidFunction);
+        rec.PushOp(SimOp::kIdle, rec.lb, kNullAddr, skew, kInvalidFunction);
         rec.ChargeExact(skew);
       }
     }
@@ -456,7 +485,7 @@ void Engine::SimulateCore(int core, uint64_t epoch_end) {
     const bool did_work = driver != nullptr && driver->Step(ctx);
     if (!did_work) {
       if (!rec.CoalesceCycles(SimOp::kIdle, kInvalidFunction, m.config_.idle_cycles)) {
-        rec.PushCycles(SimOp::kIdle, rec.lb, m.config_.idle_cycles, kInvalidFunction);
+        rec.PushOp(SimOp::kIdle, rec.lb, kNullAddr, m.config_.idle_cycles, kInvalidFunction);
       }
       rec.ChargeExact(m.config_.idle_cycles);
     }
@@ -578,6 +607,10 @@ void Engine::ApplyTask(int task) {
   }
 }
 
+// Counting hooks (IBS) are left out while a fast-forward epoch commits:
+// frozen across the stretch — no quiet accounting, no OnAccess — so samples
+// come only from detailed windows and the sample population matches the
+// measured denominator.
 void Engine::ResyncSink() {
   Machine& m = *machine_;
   sink_.counting.clear();
@@ -588,7 +621,7 @@ void Engine::ResyncSink() {
     Addr hi = 0;
     if (hook->AccessFilter(&lo, &hi)) {
       sink_.filtered.push_back(FusedSink::Filtered{hook, lo, hi});
-    } else {
+    } else if (!ff_epoch_) {
       sink_.counting.push_back(hook);
     }
   }
@@ -695,8 +728,7 @@ void Engine::CommitEpoch() {
         // Commits the segment up to the next sync op, stopping at (and
         // re-arbitrating before) any access a PMU hook can act on — unless
         // that access is the op just arbitrated, which dispatches now.
-        cursor = ff_epoch_ ? CommitRunFf(core, cursor, next_sync)
-                           : CommitRun(core, cursor, next_sync);
+        cursor = CommitRun(core, cursor, next_sync);
       }
       if (cursor >= count) {
         key = kDoneKey;
@@ -733,9 +765,10 @@ uint32_t Engine::CommitRun(int core, uint32_t begin, uint32_t end) {
   const bool want_events = sink_.want_events;
   uint32_t i = begin;
   // Passthrough: no hook can act on any access in this segment (counting
-  // hooks unbounded-quiet, no armed filters) and no observer wants events —
-  // the loop reduces to clock reconstruction. Hooks with an unbounded
-  // guarantee need no skip accounting, so the gate is bypassed entirely.
+  // hooks unbounded-quiet or frozen, no armed filters) and no observer wants
+  // events — the loop reduces to clock reconstruction. Hooks with an
+  // unbounded guarantee need no skip accounting, so the gate is bypassed
+  // entirely.
   if (gate_unbounded_[core] != 0 && sink_.filtered.empty() && !want_events) {
     for (; i < end; ++i) {
       const uint8_t k = metas[i].kind & CoreRecorder::kKindMask;
@@ -745,19 +778,8 @@ uint32_t Engine::CommitRun(int core, uint32_t begin, uint32_t end) {
         if (probing != 0) {
           probe_lat += latency;
         }
-      } else if (k == SimOp::kCompute || k == SimOp::kIdle) {
-        clock += lanes[i].payload();
-      } else if (k == SimOp::kProbeBegin) {
-        probing = 1;
-        probe_lat = 0;
       } else {
-        DPROF_DCHECK(k == SimOp::kProbeEnd);
-        probing = 0;
-        double divisor = 1.0;
-        const uint64_t bits = lanes[i].payload();
-        __builtin_memcpy(&divisor, &bits, sizeof(double));
-        reinterpret_cast<RunningStat*>(lanes[i].addr)
-            ->Add(static_cast<double>(probe_lat) / divisor);
+        CommitLocalOp(k, lanes[i], base_cost, clock, probe_lat, probing);
       }
     }
     m.clocks_[core] = clock;
@@ -812,25 +834,12 @@ uint32_t Engine::CommitRun(int core, uint32_t begin, uint32_t end) {
       if (want_events) {
         EmitAccess(MakeAccessEvent(core, lane, metas[i].ip, latency, clock));
       }
-    } else if (k == SimOp::kCompute) {
+    } else if (k == SimOp::kCompute && want_events) {
       const uint64_t cycles = lanes[i].payload();
       clock += cycles;
-      if (want_events) {
-        EmitCompute(core, metas[i].ip, cycles, clock);
-      }
-    } else if (k == SimOp::kIdle) {
-      clock += lanes[i].payload();
-    } else if (k == SimOp::kProbeBegin) {
-      probing = 1;
-      probe_lat = 0;
+      EmitCompute(core, metas[i].ip, cycles, clock);
     } else {
-      DPROF_DCHECK(k == SimOp::kProbeEnd);
-      probing = 0;
-      double divisor = 1.0;
-      const uint64_t bits = lanes[i].payload();
-      __builtin_memcpy(&divisor, &bits, sizeof(double));
-      reinterpret_cast<RunningStat*>(lanes[i].addr)
-          ->Add(static_cast<double>(probe_lat) / divisor);
+      CommitLocalOp(k, lanes[i], base_cost, clock, probe_lat, probing);
     }
   }
   m.clocks_[core] = clock;
@@ -838,92 +847,6 @@ uint32_t Engine::CommitRun(int core, uint32_t begin, uint32_t end) {
   probe_active_[core] = probing;
   gate_quiet_[core] = quiet;
   gate_skipped_[core] = skipped;
-  return i;
-}
-
-// Fast-forward commit: the epoch ran functional-only, so there are no apply
-// results to reconstruct from — kFfRun markers carry the accumulated
-// estimated charge, and the only kAccess ops are filter-window overlaps
-// recorded with a prefilled estimate. Counting hooks are frozen (no quiet
-// accounting, no OnAccess): IBS samples come exclusively from detailed
-// windows so the sample population matches the measured denominator. There
-// are never observers in a fast-forwarded epoch, so no events are emitted.
-uint32_t Engine::CommitRunFf(int core, uint32_t begin, uint32_t end) {
-  Machine& m = *machine_;
-  CoreRecorder& rec = recorders_[core];
-  const CoreRecorder::Lane* const lanes = rec.lane;
-  const CoreRecorder::Meta* const metas = rec.meta;
-  uint64_t clock = m.clocks_[core];
-  uint64_t probe_lat = probe_latency_[core];
-  uint8_t probing = probe_active_[core];
-  const uint64_t base_cost = m.config_.base_op_cost;
-  uint32_t i = begin;
-  for (; i < end; ++i) {
-    const uint8_t k = metas[i].kind & CoreRecorder::kKindMask;
-    if (k == SimOp::kFfRun) {
-      const uint64_t count = lanes[i].addr;
-      const uint64_t est = lanes[i].payload();
-      clock += est;
-      if (probing != 0) {
-        // The estimate is base cost + estimated latency per access; probes
-        // integrate the latency share.
-        probe_lat += est - count * base_cost;
-      }
-    } else if (k == SimOp::kAccess) {
-      const CoreRecorder::Lane& lane = lanes[i];
-      const uint32_t size = lane.size_w & ~CoreRecorder::kWriteBit;
-      bool needs_hook = false;
-      for (const FusedSink::Filtered& f : sink_.filtered) {
-        if (lane.addr < f.hi && f.lo < lane.addr + size) {
-          needs_hook = true;
-          break;
-        }
-      }
-      if (needs_hook && i != begin) {
-        break;  // an arbitration point: hand back to the scheduler
-      }
-      const uint32_t latency = CoreRecorder::ResultLatency(lane.result);
-      clock += base_cost + latency;
-      if (probing != 0) {
-        probe_lat += latency;
-      }
-      if (needs_hook) {
-        m.clocks_[core] = clock;
-        const AccessEvent event =
-            MakeAccessEvent(core, lane, metas[i].ip, latency, clock);
-        // Filtered hooks only — the watching debug registers see the access
-        // at its estimated latency; counting hooks stay untouched.
-        for (const FusedSink::Filtered& f : sink_.filtered) {
-          if (lane.addr < f.hi && f.lo < lane.addr + size) {
-            const uint64_t extra = f.hook->OnAccess(event);
-            if (extra != 0) {
-              m.clocks_[core] += extra;
-            }
-          }
-        }
-        // A handler may have (dis)armed a window.
-        ResyncSink();
-        RefreshQuiet(core);
-        clock = m.clocks_[core];
-      }
-    } else if (k == SimOp::kCompute || k == SimOp::kIdle) {
-      clock += lanes[i].payload();
-    } else if (k == SimOp::kProbeBegin) {
-      probing = 1;
-      probe_lat = 0;
-    } else {
-      DPROF_DCHECK(k == SimOp::kProbeEnd);
-      probing = 0;
-      double divisor = 1.0;
-      const uint64_t bits = lanes[i].payload();
-      __builtin_memcpy(&divisor, &bits, sizeof(double));
-      reinterpret_cast<RunningStat*>(lanes[i].addr)
-          ->Add(static_cast<double>(probe_lat) / divisor);
-    }
-  }
-  m.clocks_[core] = clock;
-  probe_latency_[core] = probe_lat;
-  probe_active_[core] = probing;
   return i;
 }
 
@@ -943,10 +866,22 @@ void Engine::DispatchAccess(int core, uint32_t index, uint64_t& clock) {
   if (sink_.want_events) {
     EmitAccess(event);
   }
-  for (PmuHook* hook : m.pmu_hooks_) {
-    const uint64_t extra = hook->OnAccess(event);
-    if (extra != 0) {
-      clock += extra;
+  if (ff_epoch_) {
+    // Fast-forward: only the watching debug registers see the access, at its
+    // estimated latency; counting hooks stay frozen (see ResyncSink).
+    for (const FusedSink::Filtered& f : sink_.filtered) {
+      if (lane.addr < f.hi && f.lo < lane.addr + event.size) {
+        clock += f.hook->OnAccess(event);
+      }
+    }
+  } else {
+    // Every hook, in registration order: a handler may read a clock that an
+    // earlier hook charged.
+    for (PmuHook* hook : m.pmu_hooks_) {
+      const uint64_t extra = hook->OnAccess(event);
+      if (extra != 0) {
+        clock += extra;
+      }
     }
   }
   // A handler may have (dis)armed a watchpoint or reset a countdown.

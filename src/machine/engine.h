@@ -46,6 +46,13 @@
 // Observers are called inline, per event, at the point each access or
 // compute op commits, so they see the committed stream in commit order.
 //
+// Sampled execution fast-forwards some epochs: they skip APPLY, and their
+// accesses coalesce into kFfRun markers that carry an estimated cycle
+// charge. They commit through the same pass. Counting hooks (IBS) are
+// frozen for the epoch, and only accesses inside an armed watchpoint
+// window are recorded as real accesses and dispatched to the hooks that
+// watch them.
+//
 // Because phase 1 is core-local, phase 2 is shard-local with a fixed merge
 // order, and phase 3's schedule is a pure function of the recorded queues
 // and committed state, the committed event stream — and therefore every
@@ -203,21 +210,18 @@ class Engine final : public Executor {
   // at the first access some PMU hook can act on — a cross-core-visible
   // effect that must re-arbitrate — and returns its index; the access at
   // `begin` itself, already arbitrated, dispatches immediately. Returns
-  // `end` when the whole segment committed.
+  // `end` when the whole segment committed. Fast-forwarded epochs commit
+  // here too: kFfRun markers advance the clock by their estimate, and with
+  // counting hooks frozen (ResyncSink) the only dispatchable accesses are
+  // the filter-window overlaps recorded with prefilled results.
   uint32_t CommitRun(int core, uint32_t begin, uint32_t end);
-  // CommitRun for a fast-forwarded epoch: kFfRun markers advance the clock
-  // by their accumulated estimate; the only dispatchable accesses are the
-  // filter-window overlaps recorded with prefilled results, and they go to
-  // the filtered hooks only — counting hooks (IBS) are frozen across
-  // fast-forward stretches so sample counts stay proportional to measured
-  // windows.
-  uint32_t CommitRunFf(int core, uint32_t begin, uint32_t end);
   // Commits the sync op at `index`; returns false when the core parked on a
   // lock whose release is still pending (op not consumed).
   bool CommitSyncOp(int core, uint32_t index);
   // Full per-op path for an access some hook may act on: assembles the
   // event, passes it to the observers, and lets every PMU hook charge the
-  // core.
+  // core — in a fast-forwarded epoch, only the filtered hooks whose window
+  // the access overlaps.
   void DispatchAccess(int core, uint32_t index, uint64_t& clock);
 
   void ResyncSink();

@@ -119,51 +119,45 @@ AccessResult CoreContext::Access(FunctionId ip, Addr addr, uint32_t size, bool i
 
   if (recorder_ != nullptr) {
     // Engine mode: queue one op per line chunk; results resolve at commit.
+    // Fast-forward charges the calibrated estimate and skips the hierarchy;
+    // accesses inside the armed filter window snapshot still record real
+    // kAccess ops (with the estimate prefilled as the result) so commit can
+    // dispatch them to the watching hook.
     CoreRecorder& rec = *recorder_;
     const uint32_t l1_latency = m.config_.hierarchy.latency.l1;
     const uint32_t raw_cost = m.config_.base_op_cost + l1_latency;
     const uint32_t write_bit = is_write ? CoreRecorder::kWriteBit : 0u;
+    // Locals: the column stores below may alias the recorder's fields.
+    const bool ff = rec.ff;
+    const Addr ff_lo = rec.ff_lo;
+    const Addr ff_hi = rec.ff_hi;
     AccessResult total;
     Addr at = addr;
     uint32_t remaining = size;
-    if (rec.ff) {
-      // Fast-forward: charge the calibrated estimate, skip the hierarchy.
-      // Accesses inside the armed filter window snapshot still record real
-      // kAccess ops (with the estimate prefilled as the result) so commit
-      // can dispatch them to the watching hook.
-      while (remaining > 0) {
-        const uint32_t line_room =
-            static_cast<uint32_t>(line_size - (at & (line_size - 1)));
-        const uint32_t chunk = remaining < line_room ? remaining : line_room;
-        ++rec.accesses;
-        const uint64_t t = rec.lb;
-        const uint64_t est = rec.ChargeFf(raw_cost);
-        if (at < rec.ff_hi && at + chunk > rec.ff_lo) {
-          const uint64_t extra =
-              est > m.config_.base_op_cost ? est - m.config_.base_op_cost : 0;
-          rec.PushFfAccess(t, at, chunk | write_bit,
-                           CoreRecorder::PackResult(static_cast<uint32_t>(extra),
-                                                    ServedBy::kL1, false),
-                           ip);
-        } else {
-          rec.PushFfRun(t, est);
-        }
-        total.latency += l1_latency;
-        ++total.lines;
-        at += chunk;
-        remaining -= chunk;
-      }
-      return total;
-    }
     while (remaining > 0) {
       const uint32_t line_room =
           static_cast<uint32_t>(line_size - (at & (line_size - 1)));
       const uint32_t chunk = remaining < line_room ? remaining : line_room;
       ++rec.accesses;
-      rec.shard_ops[m.hierarchy_.ShardOf(at) & rec.list_mask].push_back(
-          static_cast<uint32_t>(rec.size()));
-      rec.PushAccess(rec.lb, at, chunk | write_bit, ip);
-      rec.ChargeAccess(raw_cost);
+      const uint64_t t = rec.lb;
+      if (!ff) {
+        rec.shard_ops[m.hierarchy_.ShardOf(at) & rec.list_mask].push_back(
+            static_cast<uint32_t>(rec.size()));
+        rec.PushAccess(t, at, chunk | write_bit, 0, ip);
+        rec.ChargeAccess(raw_cost);
+      } else {
+        const uint64_t est = rec.ChargeFf(raw_cost);
+        if (at < ff_hi && at + chunk > ff_lo) {
+          const uint64_t extra =
+              est > m.config_.base_op_cost ? est - m.config_.base_op_cost : 0;
+          rec.PushAccess(t, at, chunk | write_bit,
+                         CoreRecorder::PackResult(static_cast<uint32_t>(extra),
+                                                  ServedBy::kL1, false),
+                         ip);
+        } else {
+          rec.PushFfRun(t, est);
+        }
+      }
       total.latency += l1_latency;
       ++total.lines;
       at += chunk;
@@ -222,7 +216,7 @@ void CoreContext::Compute(FunctionId ip, uint64_t cycles) {
   Machine& m = *machine_;
   if (recorder_ != nullptr) {
     if (!recorder_->CoalesceCycles(SimOp::kCompute, ip, cycles)) {
-      recorder_->PushCycles(SimOp::kCompute, recorder_->lb, cycles, ip);
+      recorder_->PushOp(SimOp::kCompute, recorder_->lb, kNullAddr, cycles, ip);
     }
     recorder_->ChargeExact(cycles);
     return;
@@ -252,12 +246,8 @@ void CoreContext::LockAcquire(SimLock& lock, FunctionId ip) {
     // (arbitration point) instead of an acquire/done pair bracketing the
     // access.
     Access(ip, lock.word_, 8, true);
-    SimOp op;
-    op.kind = SimOp::kLockAcquire;
-    op.t = recorder_->lb;
-    op.addr = reinterpret_cast<Addr>(&lock);
-    op.ip = ip;
-    recorder_->Push(op);
+    recorder_->PushOp(SimOp::kLockAcquire, recorder_->lb, reinterpret_cast<Addr>(&lock), 0,
+                      ip);
     return;
   }
   uint64_t wait = 0;
@@ -278,12 +268,8 @@ void CoreContext::LockRelease(SimLock& lock, FunctionId ip) {
   Machine& m = *machine_;
   if (recorder_ != nullptr) {
     Access(ip, lock.word_, 8, true);
-    SimOp op;
-    op.kind = SimOp::kLockRelease;
-    op.t = recorder_->lb;
-    op.addr = reinterpret_cast<Addr>(&lock);
-    op.ip = ip;
-    recorder_->Push(op);
+    recorder_->PushOp(SimOp::kLockRelease, recorder_->lb, reinterpret_cast<Addr>(&lock), 0,
+                      ip);
     return;
   }
   DPROF_DCHECK(lock.holder_ == core_);
@@ -298,10 +284,7 @@ void CoreContext::LockRelease(SimLock& lock, FunctionId ip) {
 
 void CoreContext::BeginLatencyProbe() {
   if (recorder_ != nullptr) {
-    SimOp op;
-    op.kind = SimOp::kProbeBegin;
-    op.t = recorder_->lb;
-    recorder_->Push(op);
+    recorder_->PushOp(SimOp::kProbeBegin, recorder_->lb, kNullAddr, 0, kInvalidFunction);
     return;
   }
   probing_ = true;
@@ -310,13 +293,11 @@ void CoreContext::BeginLatencyProbe() {
 
 void CoreContext::EndLatencyProbe(RunningStat* stat, double divisor) {
   if (recorder_ != nullptr) {
-    SimOp op;
-    op.kind = SimOp::kProbeEnd;
-    op.t = recorder_->lb;
-    op.addr = reinterpret_cast<Addr>(stat);
     static_assert(sizeof(double) == sizeof(uint64_t), "divisor packing");
-    __builtin_memcpy(&op.aux, &divisor, sizeof(double));
-    recorder_->Push(op);
+    uint64_t bits = 0;
+    __builtin_memcpy(&bits, &divisor, sizeof(double));
+    recorder_->PushOp(SimOp::kProbeEnd, recorder_->lb, reinterpret_cast<Addr>(stat), bits,
+                      kInvalidFunction);
     return;
   }
   probing_ = false;
@@ -325,12 +306,8 @@ void CoreContext::EndLatencyProbe(RunningStat* stat, double divisor) {
 
 void CoreContext::NotifyAllocEvent(TypeId type, Addr base, uint32_t size) {
   if (recorder_ != nullptr) {
-    SimOp op;
-    op.kind = SimOp::kAllocEvent;
-    op.t = recorder_->lb;
-    op.addr = base;
-    op.aux = (static_cast<uint64_t>(type) << 32) | size;
-    recorder_->Push(op);
+    recorder_->PushOp(SimOp::kAllocEvent, recorder_->lb, base,
+                      (static_cast<uint64_t>(type) << 32) | size, kInvalidFunction);
     return;
   }
   machine_->allocator_->CommitAllocEvent(type, base, size, core_, now());
@@ -338,13 +315,8 @@ void CoreContext::NotifyAllocEvent(TypeId type, Addr base, uint32_t size) {
 
 void CoreContext::NotifyFreeEvent(TypeId type, Addr base, uint32_t size, bool alien) {
   if (recorder_ != nullptr) {
-    SimOp op;
-    op.kind = SimOp::kFreeEvent;
-    op.t = recorder_->lb;
-    op.addr = base;
-    op.aux = (static_cast<uint64_t>(type) << 32) | size;
-    op.flag = alien;
-    recorder_->Push(op);
+    recorder_->PushOp(SimOp::kFreeEvent | (alien ? CoreRecorder::kAlienBit : 0), recorder_->lb,
+                      base, (static_cast<uint64_t>(type) << 32) | size, kInvalidFunction);
     return;
   }
   machine_->allocator_->CommitFreeEvent(type, base, size, core_, now(), alien);

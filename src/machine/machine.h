@@ -224,37 +224,25 @@ class EpochHook {
   virtual void OnEpochCommit(uint64_t now) = 0;
 };
 
-// One recorded simulation operation awaiting deterministic commit. This is
-// the recording-side value type; CoreRecorder stores it scattered across
-// structure-of-arrays columns so the apply and commit passes only pull the
-// fields they touch through cache.
+// Kinds of the operations a CoreRecorder queues for deterministic commit.
+// Sync kinds (>= kFirstSync) interact with cross-core state at commit time
+// (locks, allocator events); they arbitrate on the global min-clock rule
+// and delimit the segments the commit pass batches between them.
 struct SimOp {
-  // Sync kinds (>= kFirstSync) interact with cross-core state at commit
-  // time (locks, allocator events); they arbitrate on the global min-clock
-  // rule and delimit the segments the commit pass batches between them.
   enum Kind : uint8_t {
     kAccess,           // addr/size/is_write; lane.result receives the apply result
-    kCompute,          // aux = cycles
-    kIdle,             // aux = cycles
+    kCompute,          // payload = cycles
+    kIdle,             // payload = cycles
     kProbeBegin,       // latency probe window opens
-    kProbeEnd,         // addr = RunningStat*, aux = divisor bits
-    kFfRun,            // engine-internal fast-forwarded run: addr = access
-                       // count, payload = estimated cycles (sampled mode)
+    kProbeEnd,         // addr = RunningStat*, payload = divisor bits
+    kFfRun,            // fast-forwarded run: addr = access count,
+                       // payload = estimated cycles (sampled mode)
     kLockAcquire,      // addr = SimLock*; wait + acquire callback at commit
     kLockRelease,      // addr = SimLock*
-    kAllocEvent,       // addr = base, aux = type<<32 | size
-    kFreeEvent,        // addr = base, aux = type<<32 | size, flag = alien
+    kAllocEvent,       // addr = base, payload = type<<32 | size
+    kFreeEvent,        // addr = base, payload = type<<32 | size, kAlienBit = alien
   };
   static constexpr Kind kFirstSync = kLockAcquire;
-
-  uint64_t t = 0;  // issuing core's lower-bound clock when recorded
-  Addr addr = kNullAddr;
-  uint64_t aux = 0;
-  FunctionId ip = kInvalidFunction;
-  uint32_t size = 0;
-  Kind kind = kAccess;
-  bool is_write = false;
-  bool flag = false;
 };
 
 // Per-core operation queue filled during the engine's parallel simulation
@@ -347,43 +335,26 @@ class alignas(64) CoreRecorder {
   size_t size() const { return n; }
   bool empty() const { return n == 0; }
 
-  void Push(const SimOp& op) {
-    if (op.kind >= SimOp::kFirstSync) {
+  // Every non-access op: compute/idle bursts, probe markers, and the sync
+  // ops, whose indices also go to sync_points. `kind` may carry kAlienBit.
+  void PushOp(uint8_t kind, uint64_t t, Addr addr, uint64_t payload, FunctionId ip) {
+    if ((kind & kKindMask) >= SimOp::kFirstSync) {
       sync_points.push_back(static_cast<uint32_t>(n));
     }
     if (__builtin_expect(n == capacity, 0)) {
       Grow();
     }
-    if (op.kind == SimOp::kAccess) {
-      lane[n] = Lane{op.t, op.addr, op.size | (op.is_write ? kWriteBit : 0u), 0};
-    } else {
-      lane[n] = Lane{op.t, op.addr, static_cast<uint32_t>(op.aux),
-                     static_cast<uint32_t>(op.aux >> 32)};
-    }
-    meta[n] = Meta{op.ip, static_cast<uint8_t>(static_cast<uint8_t>(op.kind) |
-                                               (op.flag ? kAlienBit : 0u)),
-                   {0, 0, 0}};
+    lane[n] = Lane{t, addr, static_cast<uint32_t>(payload), static_cast<uint32_t>(payload >> 32)};
+    meta[n] = Meta{ip, kind, {0, 0, 0}};
     ++n;
     run_open = false;
   }
-
-  // Hot-path pushes (per-line accesses, compute bursts, idle steps) skip
-  // the SimOp staging: one capacity branch, two stores.
-  void PushAccess(uint64_t t, Addr addr, uint32_t size_w, FunctionId ip) {
-    if (__builtin_expect(n == capacity, 0)) {
-      Grow();
-    }
-    lane[n] = Lane{t, addr, size_w, 0};
-    meta[n] = Meta{ip, SimOp::kAccess, {0, 0, 0}};
-    ++n;
-    run_open = false;
-  }
-  // Fast-forward push with a prefilled apply result: the access never walks
-  // the hierarchy, but a hook filter window overlaps it, so commit needs a
-  // real kAccess op to dispatch. The result carries the estimated latency at
-  // level kL1 (the lower bound; sampled mode trades this precision away).
-  void PushFfAccess(uint64_t t, Addr addr, uint32_t size_w, uint32_t result,
-                    FunctionId ip) {
+  // One line-chunk access. `result` is 0 for an access the apply pass will
+  // resolve; a fast-forwarded access inside a hook filter window never
+  // walks the hierarchy, so it is recorded with its estimated latency at
+  // level kL1 prefilled (the lower bound; sampled mode trades this
+  // precision away) and commit dispatches it to the watching hook.
+  void PushAccess(uint64_t t, Addr addr, uint32_t size_w, uint32_t result, FunctionId ip) {
     if (__builtin_expect(n == capacity, 0)) {
       Grow();
     }
@@ -401,23 +372,8 @@ class alignas(64) CoreRecorder {
       lane[n - 1].set_payload(lane[n - 1].payload() + est);
       return;
     }
-    if (__builtin_expect(n == capacity, 0)) {
-      Grow();
-    }
-    lane[n] = Lane{t, 1, static_cast<uint32_t>(est), static_cast<uint32_t>(est >> 32)};
-    meta[n] = Meta{kInvalidFunction, SimOp::kFfRun, {0, 0, 0}};
-    ++n;
+    PushOp(SimOp::kFfRun, t, 1, est, kInvalidFunction);
     run_open = true;
-  }
-  void PushCycles(SimOp::Kind kind, uint64_t t, uint64_t cycles, FunctionId ip) {
-    if (__builtin_expect(n == capacity, 0)) {
-      Grow();
-    }
-    lane[n] = Lane{t, kNullAddr, static_cast<uint32_t>(cycles),
-                   static_cast<uint32_t>(cycles >> 32)};
-    meta[n] = Meta{ip, static_cast<uint8_t>(kind), {0, 0, 0}};
-    ++n;
-    run_open = false;
   }
 
   // Extends the previous op instead of pushing when it is the same cycle

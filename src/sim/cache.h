@@ -7,10 +7,10 @@
 // real state — so every address-to-line and line-to-set computation is a
 // shift or a mask, never a divide.
 //
-// The `Cache` class here is the reference model: tests and the working-set
-// view use it directly. The simulated machine's hot path does not — the
-// coherent hierarchy (src/sim/hierarchy.h) keeps its own flattened tag
-// lattice and only shares the geometry math.
+// The `Cache` class here is the reference model: tests and the
+// `micro_costs` bench use it directly. The working-set view and the
+// simulated machine's hot path use only `CacheGeometry` — the coherent
+// hierarchy (src/sim/hierarchy.h) keeps its own flattened tag lattice.
 
 #ifndef DPROF_SRC_SIM_CACHE_H_
 #define DPROF_SRC_SIM_CACHE_H_

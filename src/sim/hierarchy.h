@@ -294,10 +294,6 @@ class CacheHierarchy {
 
  private:
   friend class InvariantAuditor;
-  // Pulls the tag/stamp rows an access to `addr` will walk toward the host
-  // caches: the issuing core's L1 and L2 set rows and the line's L3 set row
-  // (both halves of the 16-way tag rows; the stamp rows ride along because
-  // every hit stamps recency). Used by ApplyBatch's lookahead.
   // Starts the L1/L2 tag rows of (core, line) toward the host caches.
   // An extension-bank reclaim back-invalidates every sharer of the
   // reclaimed tag in turn; issuing all sharers' row prefetches before the
@@ -310,10 +306,11 @@ class CacheHierarchy {
     __builtin_prefetch(l2_.tags.data() + l2_.RowOf(core, line));
   }
 
+  // Pulls the tag/stamp rows an access to `addr` will walk toward the host
+  // caches: the issuing core's L1 and L2 set rows and the line's L3 set row
+  // (both halves of the 16-way tag rows; the stamp rows ride along because
+  // every hit stamps recency). Used by ApplyBatch's lookahead.
   void PrefetchAccess(int core, Addr addr) const {
-#if DPROF_DISABLE_PREFETCH
-    (void)core; (void)addr;
-#else
     const uint64_t line = addr >> line_shift_;
     const size_t row1 = l1_.RowOf(core, line);
     __builtin_prefetch(l1_.tags.data() + row1);
@@ -327,7 +324,6 @@ class CacheHierarchy {
       __builtin_prefetch(l3_tags_.data() + l3_base + 8);
     }
     __builtin_prefetch(l3_stamps_.data() + l3_base, 1);
-#endif
   }
   static constexpr uint64_t kNoLine = ~0ull;
   // Exclusive-owner bit packed into private (L1/L2) tag words: the line is

@@ -14,14 +14,20 @@
 //  3. It actually fast-forwards: most of the run must be skipped work
 //     (scale well above 1), otherwise the mode is exact mode with extra
 //     steps.
+//  4. PMU hooks: armed watchpoints keep firing through fast-forward
+//     stretches, and IBS samples only the detailed windows.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/cli/scenario_registry.h"
+#include "src/machine/engine.h"
 #include "src/machine/sampling.h"
+#include "src/pmu/debug_registers.h"
+#include "src/pmu/ibs_unit.h"
 
 namespace dprof {
 namespace {
@@ -195,6 +201,122 @@ TEST(SamplingTest, ApacheSampledRunKeepsFastForwarding) {
   EXPECT_FALSE(r.degraded);
   EXPECT_EQ(r.sampling_violations, 0u);
   EXPECT_GE(r.sampling.scale, 2.0);
+}
+
+// Fast-forward keeps the paper's §5.3 watchpoint histories alive and keeps
+// IBS to the measured windows. One core writes one watched word and then
+// computes on every step, so each committed access is a watchpoint hit. An
+// epoch hook splits driver touches, hits and IBS samples by epoch; an epoch
+// that left the hierarchy untouched was fast-forwarded.
+class FastForwardHookTest : public ::testing::Test {
+ protected:
+  static constexpr Addr kWatched = 0x100000;
+  static constexpr uint64_t kComputeCycles = 200;
+
+  struct Toucher final : CoreDriver {
+    bool Step(CoreContext& ctx) override {
+      ctx.Write(1, kWatched, 8);
+      ctx.Compute(1, kComputeCycles);
+      ++touches;
+      return true;
+    }
+    uint64_t touches = 0;
+  };
+
+  struct EpochTotals {
+    uint64_t touches = 0;
+    uint64_t hits = 0;
+    uint64_t samples = 0;
+    bool ff = false;
+  };
+
+  FastForwardHookTest() : machine_(Config()), ibs_(1, IbsConfig{64}) {
+    machine_.SetDriver(0, &driver_);
+    DebugRegCostModel costs;
+    costs.interrupt_cycles = 50;
+    watch_.set_costs(costs);
+    watch_.SetHandler([this](const AccessEvent& event, int) { hits_.push_back(event); });
+    watch_.Arm(0, kWatched, 8);
+  }
+
+  static MachineConfig Config() {
+    MachineConfig config;
+    config.hierarchy.num_cores = 1;
+    return config;
+  }
+
+  // Runs a sampled engine and returns the per-epoch totals.
+  std::vector<EpochTotals> Run() {
+    struct Splitter final : EpochHook {
+      void OnEpochCommit(uint64_t) override {
+        const uint64_t accesses = t->machine_.hierarchy().Totals().accesses;
+        EpochTotals e;
+        e.touches = t->driver_.touches - prev.touches;
+        e.hits = t->watch_.hits() - prev.hits;
+        e.samples = t->ibs_.samples_taken() - prev.samples;
+        e.ff = accesses == prev_accesses;
+        epochs.push_back(e);
+        prev = {t->driver_.touches, t->watch_.hits(), t->ibs_.samples_taken(), false};
+        prev_accesses = accesses;
+      }
+      FastForwardHookTest* t = nullptr;
+      EpochTotals prev;
+      uint64_t prev_accesses = 0;
+      std::vector<EpochTotals> epochs;
+    } splitter;
+    splitter.t = this;
+    machine_.AddEpochHook(&splitter);
+    EngineConfig config;
+    config.threads = 1;
+    config.sampling.enabled = true;
+    Engine engine(&machine_, config);
+    machine_.SetExecutor(&engine);
+    machine_.RunFor(kTestCycles);
+    machine_.SetExecutor(nullptr);
+    machine_.RemoveEpochHook(&splitter);
+    EXPECT_TRUE(engine.status().ok()) << engine.status().ToString();
+    EXPECT_GT(engine.phase_stats().ff_epochs, 0u);
+    return splitter.epochs;
+  }
+
+  Machine machine_;
+  Toucher driver_;
+  DebugRegisterFile watch_;
+  IbsUnit ibs_;
+  std::vector<AccessEvent> hits_;
+};
+
+TEST_F(FastForwardHookTest, WatchpointFiresAndChargesInFastForwardEpochs) {
+  machine_.AddPmuHook(&watch_);
+  uint64_t ff_touches = 0;
+  for (const EpochTotals& e : Run()) {
+    EXPECT_EQ(e.hits, e.touches) << (e.ff ? "fast-forward" : "detailed") << " epoch";
+    ff_touches += e.ff ? e.touches : 0;
+  }
+  EXPECT_GT(ff_touches, driver_.touches / 2) << "most of the run must fast-forward";
+  // Each hit's interrupt lands on the core's clock before its next access:
+  // consecutive hits sit exactly one step plus one interrupt apart.
+  ASSERT_EQ(hits_.size(), driver_.touches);
+  const uint64_t step = machine_.config().base_op_cost + kComputeCycles +
+                        watch_.costs().interrupt_cycles;
+  for (size_t k = 1; k < hits_.size(); ++k) {
+    ASSERT_EQ(hits_[k].now - hits_[k - 1].now, step + hits_[k].latency) << "hit " << k;
+  }
+}
+
+TEST_F(FastForwardHookTest, IbsTakesNoSamplesFromFastForwardEpochs) {
+  machine_.AddPmuHook(&ibs_);
+  machine_.AddPmuHook(&watch_);
+  uint64_t detailed_samples = 0;
+  for (const EpochTotals& e : Run()) {
+    if (e.ff) {
+      EXPECT_EQ(e.samples, 0u) << "IBS sampled a fast-forward stretch";
+    } else {
+      detailed_samples += e.samples;
+    }
+    EXPECT_EQ(e.hits, e.touches) << (e.ff ? "fast-forward" : "detailed") << " epoch";
+  }
+  EXPECT_GT(detailed_samples, 0u);
 }
 
 TEST(SamplingTest, WilsonIntervalIsSaneAndFloored) {
