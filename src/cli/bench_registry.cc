@@ -635,6 +635,13 @@ void RegisterBuiltinBenches(BenchRegistry& registry) {
   RegisterPaperBenches(registry);
 }
 
+std::string ValidateBenchParams(const BenchParams& params) {
+  if (!(params.scale > 0.0 && params.scale <= kMaxBenchScale)) {
+    return "--scale must be in (0, 1e6]";
+  }
+  return "";
+}
+
 std::string BenchReportToJson(const BenchReport& report) {
   JsonWriter json;
   json.BeginObject();

@@ -35,6 +35,13 @@ struct BenchParams {
   uint64_t seed = 1;
 };
 
+// The largest scale a bench accepts. Benches multiply base iteration counts
+// of up to 4e7 by it, so scaled counts stay far inside uint64_t.
+constexpr double kMaxBenchScale = 1e6;
+
+// Returns "" when `params` is in range, else a one-line error naming the flag.
+std::string ValidateBenchParams(const BenchParams& params);
+
 using BenchFn = std::function<BenchReport(const BenchParams&)>;
 
 struct BenchInfo {

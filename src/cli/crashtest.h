@@ -17,7 +17,7 @@
 namespace dprof {
 
 // Runs `dprof crashtest [--json] [--threads N]` with its flags already
-// parsed (src/cli/main.cc). Returns 0 iff every cell ended in its expected
+// parsed and validated (src/cli/main.cc). Returns 0 iff every cell ended in its expected
 // outcome and every seam fired in at least one scenario.
 int CmdCrashtest(bool json, int threads);
 

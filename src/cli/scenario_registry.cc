@@ -60,17 +60,17 @@ std::string ValidateRunSpec(const RunSpec& spec) {
            std::to_string(spec.threads);
   }
   if (!spec.sampled && (spec.sampling_period > 0 || spec.sampling_window > 0)) {
-    return "--period/--window only apply to sampled runs; add --sampled";
+    return "--sampling-period/--sampling-window only apply to sampled runs; add --sampled";
   }
   if (spec.sampled && spec.sampling_period > 0 && spec.sampling_window > spec.sampling_period) {
-    return "--window (" + std::to_string(spec.sampling_window) +
-           ") must not exceed --period (" + std::to_string(spec.sampling_period) + ")";
+    return "--sampling-window (" + std::to_string(spec.sampling_window) +
+           ") must not exceed --sampling-period (" + std::to_string(spec.sampling_period) + ")";
   }
   if (!spec.fault_seams.empty()) {
     uint32_t mask = 0;
     std::string error;
     if (!ParseFaultSeamList(spec.fault_seams, &mask, &error)) {
-      return error;
+      return "--fault: " + error;
     }
   }
   if (spec.watchdog_wall_seconds < 0.0) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <thread>
 
 #include "src/util/json_writer.h"
@@ -52,6 +53,28 @@ std::vector<WhatIfCandidate> AutoCandidates(const std::vector<ScenarioProfileRow
     }
   }
   return candidates;
+}
+
+std::string ValidateWhatIf(const ScenarioRegistry& registry, const std::string& scenario,
+                           const RunSpec& spec, const std::vector<WhatIfCandidate>& candidates,
+                           size_t top_n) {
+  if (top_n < 1 || top_n > kMaxAutoTop) {
+    return "--top must be in [1, " + std::to_string(kMaxAutoTop) + "]";
+  }
+  if (candidates.empty()) return "";
+  std::unique_ptr<ScenarioRig> rig = registry.Find(scenario)->factory(spec);
+  rig->workload->Install(*rig->machine);
+  const int sockets = rig->machine->hierarchy().num_sockets();
+  for (const WhatIfCandidate& candidate : candidates) {
+    if (rig->registry->Find(candidate.type) == kInvalidType) {
+      return "--type '" + candidate.type + "' names no type of scenario '" + scenario + "'";
+    }
+    if (candidate.kind == TypeTransformKind::kPinHome && candidate.param >= sockets) {
+      return "--fix pin_home@" + std::to_string(candidate.param) +
+             " names a socket this topology lacks (" + std::to_string(sockets) + ")";
+    }
+  }
+  return "";
 }
 
 WhatIfReport RunWhatIf(const ScenarioRegistry& registry, const std::string& scenario,

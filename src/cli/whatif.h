@@ -71,6 +71,18 @@ struct WhatIfReport {
 std::vector<WhatIfCandidate> AutoCandidates(const std::vector<ScenarioProfileRow>& profile,
                                             size_t top_n, int num_sockets = 1);
 
+// The widest --auto search: how many profiled types it may explore.
+constexpr size_t kMaxAutoTop = 64;
+
+// Checks a whatif request before anything runs: `top_n` must be in
+// [1, kMaxAutoTop], every candidate's type must exist in `scenario` (the
+// workloads register their types while the rig is built and installed), and
+// pin_home@N must name a socket of the spec's topology. Returns "" when
+// valid, else a one-line error naming the flag at fault.
+std::string ValidateWhatIf(const ScenarioRegistry& registry, const std::string& scenario,
+                           const RunSpec& spec, const std::vector<WhatIfCandidate>& candidates,
+                           size_t top_n);
+
 // Runs the baseline and every candidate experiment, then ranks the diffs.
 // `base_spec` describes the shared run shape (cores, seed, cycles); its
 // transforms are the baseline's. Measurement runs disable phase-2 history

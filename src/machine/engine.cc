@@ -129,8 +129,6 @@ __attribute__((always_inline)) inline void CommitLocalOp(uint8_t k, const CoreRe
 Engine::Engine(Machine* machine, const EngineConfig& config)
     : machine_(machine), config_(config) {
   DPROF_CHECK(config_.epoch_cycles > 0);
-  DPROF_CHECK(config_.epoch_cycles_focus > 0);
-  DPROF_CHECK(config_.apply_quantum_bits >= 0 && config_.apply_quantum_bits < 32);
   DPROF_CHECK(machine_->num_cores() <= kMaxCores);
   threads_ = config_.threads > 0 ? config_.threads
                                  : static_cast<int>(std::thread::hardware_concurrency());
@@ -293,7 +291,7 @@ void Engine::RunFor(uint64_t cycles) {
     // (focus is pure session state, so the choice — and therefore the
     // committed stream — is identical for every host thread count).
     const uint64_t epoch =
-        m.epoch_focus() ? config_.epoch_cycles_focus : config_.epoch_cycles;
+        m.epoch_focus() ? EngineConfig::kEpochCyclesFocus : config_.epoch_cycles;
     RunEpoch(min_clock, deadline, epoch);
     if (config_.audit_epochs > 0 && epochs_run_ % config_.audit_epochs == 0) {
       RunAudit();
@@ -372,7 +370,7 @@ void Engine::RunEpoch(uint64_t min_clock, uint64_t deadline, uint64_t epoch_cycl
   if (ff_epoch_) {
     const uint64_t stretch =
         std::max(epoch_cycles, std::min(sampler_->FfRunway(min_clock),
-                                        sampler_->config().ff_epoch_cycles));
+                                        SamplingConfig::kFfEpochCycles));
     epoch_end = std::min(deadline, min_clock + stretch);
   }
   FaultPlan* const faults = m.fault_plan();
@@ -492,8 +490,8 @@ void Engine::SimulateCore(int core, uint64_t epoch_end) {
   }
 }
 
-// The apply pass merges in (t >> apply_quantum_bits, core, program order):
-// see EngineConfig::apply_quantum_bits. The quantized key also makes
+// The apply pass merges in (t >> kApplyQuantumBits, core, program order):
+// see EngineConfig::kApplyQuantumBits. The quantized key also makes
 // same-core runs long (a core's whole quantum drains before the merge
 // switches), so the min-tree recomputes once per run, not per op — and each
 // drain is a single-core span the prefetch-pipelined ApplyBatch can walk.
@@ -503,7 +501,7 @@ void Engine::SimulateCore(int core, uint64_t epoch_end) {
 void Engine::ApplyShard(uint32_t list) {
   Machine& m = *machine_;
   const int cores = m.num_cores();
-  const int qbits = config_.apply_quantum_bits;
+  const int qbits = EngineConfig::kApplyQuantumBits;
   // Lane faults (dropped / duplicated records) are keyed on the recorded
   // (core, timestamp, address) alone, and a drop recovers to the optimistic
   // lower-bound result, so faulted applies stay bit-identical for any list

@@ -13,7 +13,7 @@
 //      queue with its lower-bound timestamp.
 //   2. APPLY (parallel over hierarchy shards): the recorded accesses are
 //      merged per shard list in (timestamp quantum, core, program order) —
-//      see EngineConfig::apply_quantum_bits — and applied to the cache
+//      see EngineConfig::kApplyQuantumBits — and applied to the cache
 //      hierarchy. All hierarchy state partitions by line number
 //      (CacheHierarchy::num_shards), so with worker threads each hierarchy
 //      shard has its own list and shard workers never share state. Without
@@ -89,15 +89,16 @@ struct EngineConfig {
   // epoch batching, without paying the extra epochs on every run. Fidelity
   // data: kernel scenario size-1024 miss rate, legacy 69% vs engine 41% at
   // 20k-cycle epochs, 57% at 2k (tests/engine_validation_test.cc).
-  uint64_t epoch_cycles_focus = 2'000;
-  // The apply pass merges recorded accesses in (t >> apply_quantum_bits,
+  static constexpr uint64_t kEpochCyclesFocus = 2'000;
+  // The apply pass merges recorded accesses in (t >> kApplyQuantumBits,
   // core, program order): cores' accesses interleave at quantum granularity
   // instead of op granularity. The legacy loop reorders at driver-step
   // granularity (one core runs a whole step before the min-clock scan picks
   // the next), so a quantum of the same order keeps coherence timing
   // comparable while giving the host long same-core runs — the simulated
   // L1/L2 state stays hot and the merge tree amortizes across runs.
-  int apply_quantum_bits = 11;  // 2048-cycle quanta; fidelity data in tests/engine_validation_test.cc
+  // 2048-cycle quanta; fidelity data in tests/engine_validation_test.cc.
+  static constexpr int kApplyQuantumBits = 11;
   // Ignored: record elision is gone. Still declared because
   // perfbench/harness.cc sets it.
   bool allow_record_elision = true;

@@ -496,7 +496,7 @@ class Machine {
   bool IsMailboxFedType(TypeId type) const;
 
   // Epoch focus: set while a mailbox-fed type is under study. The epoch
-  // engine shrinks its epochs (EngineConfig::epoch_cycles_focus) while this
+  // engine shrinks its epochs (EngineConfig::kEpochCyclesFocus) while this
   // is on, so mailbox deliveries resolve at near-legacy granularity only
   // when the fidelity is actually needed. Pure session state — identical
   // for every host thread count — so determinism is unaffected. The legacy

@@ -27,9 +27,6 @@ SamplingController::SamplingController(const SamplingConfig& config) : config_(c
   if (config_.window_cycles == 0) {
     config_.window_cycles = SamplingConfig().window_cycles;
   }
-  if (config_.ff_epoch_cycles == 0) {
-    config_.ff_epoch_cycles = SamplingConfig().ff_epoch_cycles;
-  }
   // A window at least as long as the period means "always detailed".
   config_.window_cycles = std::min(config_.window_cycles, config_.period_cycles);
 }

@@ -29,7 +29,7 @@ struct SamplingConfig {
   // per-epoch overhead; FfRunway() still ends a stretch at the next detailed
   // window. Watchpoint filters armed mid-epoch see accesses only from the
   // next epoch on, so this also bounds that arming lag in simulated cycles.
-  uint64_t ff_epoch_cycles = 100'000;
+  static constexpr uint64_t kFfEpochCycles = 100'000;
 };
 
 // One confidence interval on a proportion, in percentage points.

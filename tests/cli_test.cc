@@ -1,14 +1,19 @@
 // Tests for the dprof CLI subsystem: scenario registration and lookup,
-// unknown-scenario handling, end-to-end scenario runs, and the shape of the
-// machine-readable JSON output.
+// unknown-scenario handling, end-to-end scenario runs, the shape of the
+// machine-readable JSON output, and the flag table behind every command.
 
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <memory>
+#include <regex>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "src/cli/bench_registry.h"
+#include "src/cli/flags.h"
 #include "src/cli/scenario_registry.h"
 #include "src/util/json_writer.h"
 
@@ -186,6 +191,196 @@ TEST(BenchRegistryTest, MicroCostsJsonHasExpectedShape) {
   // Every metric carries a numeric value and a unit.
   EXPECT_NE(json.find("\"value\":"), std::string::npos);
   EXPECT_NE(json.find("\"unit\":"), std::string::npos);
+}
+
+// Parses one invocation's arguments; returns the error ("" on success).
+std::string Parse(Command command, const std::vector<std::string>& args,
+                  CliOptions* options = nullptr) {
+  CliOptions scratch;
+  std::string error;
+  ParseArgs(command, args, options != nullptr ? options : &scratch, &error);
+  return error;
+}
+
+// A syntactically valid value for a row, so only acceptance is under test.
+std::vector<std::string> Invocation(const FlagSpec& flag) {
+  switch (flag.kind) {
+    case FlagKind::kSwitch:
+      return {flag.name};
+    case FlagKind::kString:
+      return {flag.name, "x"};
+    default:
+      return {flag.name, "1"};
+  }
+}
+
+const Command kAllCommands[] = {kRun, kWhatIf, kBench, kCrashtest};
+
+// Which command accepts which flag is user-visible behaviour: this is the
+// whole command x flag matrix, spelled out independently of the table.
+TEST(FlagTableTest, EveryCommandAcceptsExactlyItsFlags) {
+  const std::map<Command, std::set<std::string>> accepted = {
+      {kRun,
+       {"--json", "--scenario", "--cores", "--topology", "--cycles", "--threads", "--type",
+        "--local-tx-queue", "--admission-control", "--legacy-loop", "--sampled",
+        "--sampling-period", "--sampling-window", "--audit", "--fault", "--fault-seed",
+        "--watchdog-stall-epochs", "--watchdog-seconds", "--seed"}},
+      {kWhatIf,
+       {"--json", "--scenario", "--cores", "--topology", "--cycles", "--threads", "--type",
+        "--fix", "--auto", "--top", "--local-tx-queue", "--admission-control", "--sampled",
+        "--sampling-period", "--sampling-window", "--seed"}},
+      {kBench, {"--json", "--seed", "--scale"}},
+      {kCrashtest, {"--json", "--threads"}},
+  };
+  std::set<std::string> names;
+  for (const FlagSpec& flag : Flags()) {
+    EXPECT_TRUE(names.insert(flag.name).second) << "duplicate row " << flag.name;
+    for (const Command command : kAllCommands) {
+      const std::string error = Parse(command, Invocation(flag));
+      const bool expected = accepted.at(command).count(flag.name) > 0;
+      EXPECT_EQ(error.find("unknown flag") == std::string::npos, expected)
+          << CommandName(command) << " " << flag.name << ": " << error;
+    }
+  }
+  EXPECT_EQ(names.size(), 23u);
+  for (const Command command : kAllCommands) {
+    EXPECT_NE(Parse(command, {"--no-such-flag"}).find("unknown flag"), std::string::npos);
+  }
+}
+
+TEST(FlagTableTest, HelpNamesEveryRowAndItsCommands) {
+  const std::string help = UsageText();
+  for (const FlagSpec& flag : Flags()) {
+    const size_t line = help.find(std::string("\n  ") + flag.name + " ");
+    ASSERT_NE(line, std::string::npos) << flag.name;
+    const std::string text = help.substr(line + 1, help.find('\n', line + 1) - line - 1);
+    const std::string commands = text.substr(text.rfind('['));
+    for (const Command command : kAllCommands) {
+      EXPECT_EQ(commands.find(CommandName(command)) != std::string::npos,
+                (flag.commands & command) != 0)
+          << text;
+    }
+  }
+}
+
+TEST(FlagTableTest, ScenarioIsNamedOnce) {
+  CliOptions options;
+  EXPECT_EQ(Parse(kRun, {"--scenario", "apache", "--json"}, &options), "");
+  EXPECT_EQ(options.name, "apache");
+  CliOptions positional;
+  EXPECT_EQ(Parse(kRun, {"memcached"}, &positional), "");
+  EXPECT_EQ(positional.name, "memcached");
+  EXPECT_NE(Parse(kRun, {"memcached", "--scenario", "apache"}), "");
+  EXPECT_NE(Parse(kWhatIf, {"--scenario", "memcached", "--scenario", "apache"}), "");
+}
+
+TEST(FlagTableTest, SettersWriteTheRunSpec) {
+  CliOptions options;
+  ASSERT_EQ(Parse(kRun,
+                  {"conflict_demo", "--cores", "2", "--cycles", "3000", "--threads", "4",
+                   "--seed", "18446744073709551615", "--legacy-loop", "--sampled",
+                   "--sampling-period", "100", "--sampling-window", "10", "--json",
+                   "--watchdog-seconds", "2.5"},
+                  &options),
+            "");
+  EXPECT_EQ(options.spec.cores, 2);
+  EXPECT_EQ(options.spec.collect_cycles, 3000u);
+  EXPECT_EQ(options.spec.threads, 4);
+  EXPECT_EQ(options.spec.seed, std::numeric_limits<uint64_t>::max());
+  EXPECT_FALSE(options.spec.use_engine);
+  EXPECT_TRUE(options.spec.sampled);
+  EXPECT_EQ(options.spec.sampling_period, 100u);
+  EXPECT_EQ(options.spec.sampling_window, 10u);
+  EXPECT_TRUE(options.json && options.spec.build_view_json);
+  EXPECT_EQ(options.spec.watchdog_wall_seconds, 2.5);
+  EXPECT_FALSE(CliOptions().spec.build_view_json);
+
+  CliOptions whatif;
+  ASSERT_EQ(Parse(kWhatIf,
+                  {"m", "--type", "a", "--fix", "align", "--type", "b", "--fix", "pin_home@2"},
+                  &whatif),
+            "");
+  ASSERT_EQ(whatif.candidates.size(), 2u);
+  EXPECT_EQ(whatif.candidates[0].Label(), "a:align");
+  EXPECT_EQ(whatif.candidates[1].Label(), "b:pin_home@2");
+}
+
+// Numbers mean what the parser says: no sign, no wrap-around, no infinity.
+TEST(FlagTableTest, MalformedNumbersAreRejected) {
+  for (const std::vector<std::string>& args : std::vector<std::vector<std::string>>{
+           {"--cycles", "-5"},
+           {"--cycles", "0"},
+           {"--cycles", "2e6"},
+           {"--cycles", "18446744073709551616"},
+           {"--seed", "-1"},
+           {"--seed", "+3"},
+           {"--seed", " 3"},
+           {"--cores", ""},
+           {"--threads", "-1"},
+           {"--watchdog-seconds", "inf"},
+           {"--watchdog-seconds", "nan"},
+           {"--watchdog-seconds", "0"},
+           {"--cores"}}) {
+    EXPECT_NE(Parse(kRun, args), "") << args[0] << " " << (args.size() > 1 ? args[1] : "");
+  }
+  for (const char* scale : {"inf", "-inf", "nan", "0", "-1", "1x"}) {
+    EXPECT_NE(Parse(kBench, {"--scale", scale}), "") << scale;
+  }
+  // --scale is finite and positive, and bounded so the benches' scaled
+  // iteration counts cannot overflow.
+  BenchParams params;
+  params.scale = 1e30;
+  EXPECT_NE(ValidateBenchParams(params), "");
+  params.scale = kMaxBenchScale;
+  EXPECT_EQ(ValidateBenchParams(params), "");
+}
+
+// Every error names a flag of the table (user text echoed in quotes aside).
+TEST(FlagTableTest, ErrorMessagesNameExistingFlags) {
+  std::vector<std::string> errors = {
+      Parse(kRun, {"--cores"}),
+      Parse(kRun, {"--cycles", "x"}),
+      Parse(kRun, {"--audit", "0"}),
+      Parse(kBench, {"--scale", "inf"}),
+      Parse(kRun, {"--bogus"}),
+      Parse(kWhatIf, {"--fix", "align"}),
+      Parse(kWhatIf, {"--type", "t", "--fix", "bogus"}),
+      Parse(kRun, {"a", "--scenario", "b"}),
+  };
+  const auto invalid = [](auto mutate) {
+    RunSpec spec;
+    mutate(spec);
+    return ValidateRunSpec(spec);
+  };
+  errors.push_back(invalid([](RunSpec& s) { s.topology = "nosuch"; }));
+  errors.push_back(invalid([](RunSpec& s) { s.cores = 0; }));
+  errors.push_back(invalid([](RunSpec& s) { s.threads = 2000; }));
+  errors.push_back(invalid([](RunSpec& s) { s.sampling_period = 100; }));
+  errors.push_back(invalid([](RunSpec& s) {
+    s.sampled = true;
+    s.sampling_period = 100;
+    s.sampling_window = 200;
+  }));
+  errors.push_back(invalid([](RunSpec& s) { s.fault_seams = "nosuch"; }));
+  errors.push_back(invalid([](RunSpec& s) { s.watchdog_wall_seconds = -1.0; }));
+  BenchParams params;
+  params.scale = 1e30;
+  errors.push_back(ValidateBenchParams(params));
+
+  std::set<std::string> names;
+  for (const FlagSpec& flag : Flags()) names.insert(flag.name);
+  const std::regex quoted("'[^']*'");
+  const std::regex flag_name("--[a-z-]+");
+  for (const std::string& error : errors) {
+    ASSERT_NE(error, "");
+    const std::string text = std::regex_replace(error, quoted, "");
+    int named = 0;
+    for (std::sregex_iterator it(text.begin(), text.end(), flag_name), end; it != end; ++it) {
+      EXPECT_EQ(names.count(it->str()), 1u) << it->str() << " in: " << error;
+      ++named;
+    }
+    EXPECT_GT(named, 0) << error;
+  }
 }
 
 }  // namespace

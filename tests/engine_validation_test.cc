@@ -172,7 +172,7 @@ TEST(EngineValidationTest, ThreadsByteIdenticalPerScenario) {
 }
 
 // Adaptive epochs: drilling into a mailbox-fed type runs the engine at
-// EngineConfig::epoch_cycles_focus, which must close most of the documented
+// EngineConfig::kEpochCyclesFocus, which must close most of the documented
 // epoch-batching miss-rate drift on that type (legacy 69% vs engine 41% at
 // the default 20k-cycle epochs on this workload — a ~28-point gap that the
 // 30-point band above merely tolerates). With focus, measured agreement is

@@ -242,7 +242,7 @@ TEST(ValidateRunSpecTest, RejectsInconsistentAndMalformedFields) {
   spec.sampled = true;
   spec.sampling_period = 1000;
   spec.sampling_window = 2000;
-  EXPECT_NE(ValidateRunSpec(spec).find("--window"), std::string::npos);
+  EXPECT_NE(ValidateRunSpec(spec).find("--sampling-window"), std::string::npos);
   spec = RunSpec{};
   spec.fault_seams = "no_such_seam";
   EXPECT_NE(ValidateRunSpec(spec).find("no_such_seam"), std::string::npos);

@@ -65,7 +65,7 @@ TEST(GoldenStatsTest, LatticeMatchesRecordedBaselinePerScenario) {
     params.build_view_json = false;
     auto rig = info->factory(params);
     rig->workload->Install(*rig->machine);
-    Engine engine(rig->machine.get(), EngineConfig{1, 20'000, 2'000, 11});
+    Engine engine(rig->machine.get(), EngineConfig{1, 20'000});
     rig->machine->SetExecutor(&engine);
 
     // Fixed-epoch run: the golden numbers predate adaptive epoch focus,

@@ -1,9 +1,9 @@
 // Coverage for the whatif engine and the TypeTransform plumbing beneath it:
 // identity transforms are byte-identical to plain runs (and reproduce the
 // golden stats fingerprints through the RunSpec path), every transform is
-// deterministic across host thread counts, and
+// deterministic across host thread counts,
 // pad-to-line on conflict_demo's deliberately aliased type yields a positive
-// measured gain.
+// measured gain, and ValidateWhatIf rejects candidates no run could honour.
 
 #include <gtest/gtest.h>
 
@@ -136,6 +136,30 @@ TEST(WhatIfTest, AutoCandidatesCrossTopTypesWithCatalog) {
   EXPECT_EQ(candidates.back().type, "skbuff");
   // Asking for more types than profiled clamps instead of overrunning.
   EXPECT_EQ(AutoCandidates(profile, 10).size(), 3 * AllTypeTransformKinds().size());
+}
+
+// Candidates are checked before anything runs: the type must exist in the
+// scenario (as `run --type` requires), pin_home@N must name a socket of the
+// topology, and the --auto width must be in range.
+TEST(WhatIfTest, ValidateWhatIfRejectsWhatRunWouldReject) {
+  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  RunSpec spec = SmallConflictSpec();
+  const auto validate = [&](const std::string& type, const char* fix, size_t top = 3) {
+    WhatIfCandidate candidate{type, TypeTransformKind::kIdentity, -1};
+    EXPECT_TRUE(ParseTypeTransformSpec(fix, &candidate.kind, &candidate.param));
+    return ValidateWhatIf(registry, "conflict_demo", spec, {candidate}, top);
+  };
+  EXPECT_EQ(validate("pkt_stat", "pad_to_line"), "");
+  EXPECT_EQ(validate("pkt_stat", "pin_home@0"), "");
+  EXPECT_NE(validate("no_such_type", "pad_to_line").find("no_such_type"), std::string::npos);
+  EXPECT_NE(validate("pkt_stat", "pin_home@1"), "");  // flat machine: socket 0 only
+  EXPECT_NE(validate("pkt_stat", "align", 0), "");
+  EXPECT_NE(validate("pkt_stat", "align", kMaxAutoTop + 1), "");
+  spec.topology = "paper-amd";
+  EXPECT_EQ(validate("pkt_stat", "pin_home@3"), "");
+  EXPECT_NE(validate("pkt_stat", "pin_home@4"), "");
+  // --auto picks profiled types itself; only its width is checked.
+  EXPECT_EQ(ValidateWhatIf(registry, "conflict_demo", spec, {}, kMaxAutoTop), "");
 }
 
 }  // namespace
