@@ -329,6 +329,14 @@ def check_table_6_9(text, c):
                by_type["skbuff_fclone"]["communication_pct"], 90.0, 15.0)
 
 
+def check_table_6_7_6_8_6_9(text, c):
+    """One reproduction renders tables 6.7, 6.8 and 6.9 from one set of
+    history-collection results; each table's checks read its own part."""
+    check_table_6_7(section(text, "Table 6.7:", "Table 6.8:"), c)
+    check_table_6_8(section(text, "Table 6.8:", "Table 6.9:"), c)
+    check_table_6_9(section(text, "Table 6.9:"), c)
+
+
 def parse_pairwise_rows(text):
     """Rows of table 6.10: bench, type, size, histories/sets, time, signed
     overhead."""
@@ -380,9 +388,7 @@ SPECS = {
     "table_6_3_oprofile_memcached": check_table_6_3,
     "table_6_4_6_5_apache_profile": check_table_6_4_6_5,
     "table_6_6_lockstat_apache": check_table_6_6,
-    "table_6_7_history_collection": check_table_6_7,
-    "table_6_8_history_rates": check_table_6_8,
-    "table_6_9_overhead_breakdown": check_table_6_9,
+    "table_6_7_6_8_6_9_history": check_table_6_7_6_8_6_9,
     "table_6_10_pairwise": check_table_6_10,
 }
 

@@ -13,11 +13,31 @@ namespace {
 // fields across eight associativity sets.
 constexpr uint32_t kColorCycle = 8;
 
-// Emergency slab reserve past max_slabs_per_arena: reaching the configured
-// bound sets a sticky kResourceExhausted status instead of aborting, and the
-// reserve keeps the in-flight epoch's allocations memory-safe until the
-// engine polls the status at the epoch boundary and stops the run. Reserved
-// up front with the rest of the arena, so growth never reallocates under
+// The simulated heap's fixed geometry. Slabs are built from 4 KB pages
+// with an on-slab header; arena a spans kArenaBytes from kHeapBase + a *
+// kArenaBytes (one per core, plus the trailing metadata arena).
+constexpr uint32_t kPageShift = 12;
+constexpr uint32_t kPageSize = 1u << kPageShift;
+constexpr uint32_t kSlabHeaderSize = 64;
+constexpr uint32_t kMagazineCapacity = 32;  // array_cache entries per core
+constexpr uint32_t kBatchCount = 16;        // objects moved per refill/flush
+constexpr Addr kHeapBase = 0x100000000ull;
+constexpr uint32_t kArenaShift = 28;
+constexpr Addr kArenaBytes = Addr{1} << kArenaShift;  // 256 MB
+// Upper bound on slabs per arena; storage is preallocated so concurrent
+// cross-core address resolution never observes a reallocating array.
+constexpr uint32_t kMaxSlabsPerArena = 8192;
+
+static_assert(kPageSize >= 256);
+static_assert(kSlabHeaderSize < kPageSize);
+static_assert(kBatchCount > 0 && kBatchCount <= kMagazineCapacity);
+static_assert(kArenaBytes % kPageSize == 0);
+
+// Emergency slab reserve past kMaxSlabsPerArena: reaching that bound sets a
+// sticky kResourceExhausted status instead of aborting, and the reserve
+// keeps the in-flight epoch's allocations memory-safe until the engine
+// polls the status at the epoch boundary and stops the run. Reserved up
+// front with the rest of the arena, so growth never reallocates under
 // concurrent cross-core address resolution.
 constexpr uint32_t kEmergencySlabs = 64;
 
@@ -27,15 +47,12 @@ constexpr uint32_t kGrowFailed = ~0u;
 
 }  // namespace
 
-SlabAllocator::SlabAllocator(Machine* machine, TypeRegistry* registry, const SlabConfig& config)
-    : machine_(machine), registry_(registry), config_(config) {
-  DPROF_CHECK(config_.page_size >= 256);
-  DPROF_CHECK(config_.slab_header_size < config_.page_size);
-  DPROF_CHECK(config_.batch_count > 0 && config_.batch_count <= config_.magazine_capacity);
-  DPROF_CHECK(config_.arena_stride % config_.page_size == 0);
+SlabAllocator::SlabAllocator(Machine* machine, TypeRegistry* registry,
+                             const TransformSet& transforms)
+    : machine_(machine), registry_(registry), transforms_(transforms) {
   line_size_ = machine_->hierarchy().line_size();
 
-  slab_type_ = registry_->Register("slab", config_.slab_header_size);
+  slab_type_ = registry_->Register("slab", kSlabHeaderSize);
   array_cache_type_ = registry_->Register("array_cache", 128);
   kmem_cache_type_ = registry_->Register("kmem_cache", 256);
 
@@ -51,24 +68,22 @@ SlabAllocator::SlabAllocator(Machine* machine, TypeRegistry* registry, const Sla
   // append during the engine's parallel phase while other cores resolve
   // addresses published in earlier epochs.
   const int num_arenas = machine_->num_cores() + 1;
-  const size_t pages_per_arena = config_.arena_stride / config_.page_size;
   arenas_.resize(num_arenas);
   for (int a = 0; a < num_arenas; ++a) {
     Arena& arena = arenas_[a];
-    arena.base = config_.base_addr + static_cast<Addr>(a) * config_.arena_stride;
+    arena.base = kHeapBase + static_cast<Addr>(a) * kArenaBytes;
     arena.bump = arena.base;
-    arena.limit = arena.base + config_.arena_stride;
-    arena.pages.assign(pages_per_arena, PageInfo());
-    arena.slabs.reserve(config_.max_slabs_per_arena + kEmergencySlabs);
+    arena.limit = arena.base + kArenaBytes;
+    arena.pages.assign(kArenaBytes >> kPageShift, PageInfo());
+    arena.slabs.reserve(kMaxSlabsPerArena + kEmergencySlabs);
   }
 }
 
 int SlabAllocator::ArenaOf(Addr addr) const {
-  if (addr < config_.base_addr) {
+  if (addr < kHeapBase) {
     return -1;
   }
-  const Addr offset = addr - config_.base_addr;
-  const Addr index = offset / config_.arena_stride;
+  const Addr index = (addr - kHeapBase) >> kArenaShift;
   if (index >= arenas_.size()) {
     return -1;
   }
@@ -81,14 +96,15 @@ const SlabAllocator::PageInfo* SlabAllocator::PageFor(Addr addr) const {
     return nullptr;
   }
   const Arena& arena = arenas_[a];
-  return &arena.pages[(addr - arena.base) / config_.page_size];
+  return &arena.pages[(addr - arena.base) >> kPageShift];
 }
 
 Addr SlabAllocator::BumpPages(Arena& arena, uint32_t num_pages, PageInfo info) {
   const Addr base = arena.bump;
-  DPROF_CHECK(base + static_cast<Addr>(num_pages) * config_.page_size <= arena.limit);
-  arena.bump += static_cast<Addr>(num_pages) * config_.page_size;
-  const uint64_t first = (base - arena.base) / config_.page_size;
+  const Addr bytes = static_cast<Addr>(num_pages) << kPageShift;
+  DPROF_CHECK(base + bytes <= arena.limit);
+  arena.bump += bytes;
+  const uint64_t first = (base - arena.base) >> kPageShift;
   for (uint32_t i = 0; i < num_pages; ++i) {
     arena.pages[first + i] = info;
   }
@@ -98,7 +114,7 @@ Addr SlabAllocator::BumpPages(Arena& arena, uint32_t num_pages, PageInfo info) {
 Addr SlabAllocator::AllocMeta(TypeId type, uint32_t size) {
   // Metadata and static objects get their own pages in the setup-time
   // metadata arena, found via meta ranges.
-  const uint32_t pages = (size + config_.page_size - 1) / config_.page_size;
+  const uint32_t pages = (size + kPageSize - 1) / kPageSize;
   const Addr base =
       BumpPages(arenas_.back(), std::max(1u, pages), PageInfo{PageInfo::Kind::kMeta, 0});
   meta_ranges_.push_back(MetaRange{base, size, type});
@@ -122,13 +138,12 @@ Addr SlabAllocator::RegisterStaticArray(TypeId type, uint32_t elem_size, uint32_
   DPROF_CHECK(count > 0 && elem_size > 0 && stride >= elem_size);
   const std::string& name = registry_->Name(type);
   uint32_t eff_stride = stride;
-  if (config_.transforms.Has(name, TypeTransformKind::kPadToLine)) {
+  if (transforms_.Has(name, TypeTransformKind::kPadToLine)) {
     // Repack densely, one line-multiple stride per element, discarding the
     // caller's hand-chosen placement.
     eff_stride = (elem_size + line_size_ - 1) / line_size_ * line_size_;
   }
-  const uint32_t color_lines =
-      config_.transforms.Has(name, TypeTransformKind::kRecolor) ? kColorCycle : 0;
+  const uint32_t color_lines = transforms_.Has(name, TypeTransformKind::kRecolor) ? kColorCycle : 0;
   const uint64_t span = static_cast<uint64_t>(eff_stride) * count +
                         (color_lines > 0 ? (color_lines - 1) * line_size_ : 0);
   const Addr base = RegisterStatic(type, static_cast<uint32_t>(span));
@@ -145,7 +160,7 @@ Addr SlabAllocator::RegisterStaticArray(TypeId type, uint32_t elem_size, uint32_
 }
 
 bool SlabAllocator::HasTransform(TypeId type, TypeTransformKind kind) const {
-  return config_.transforms.Has(registry_->Name(type), kind);
+  return transforms_.Has(registry_->Name(type), kind);
 }
 
 void SlabAllocator::ReplayStatics(AllocationObserver* observer) const {
@@ -165,19 +180,19 @@ SlabAllocator::KmemCache& SlabAllocator::CacheFor(TypeId type) {
   cache.type = type;
   // Pad to 8 bytes like the kernel allocator.
   cache.obj_size = (registry_->Size(type) + 7u) & ~7u;
-  if (!config_.transforms.empty()) {
+  if (!transforms_.empty()) {
     const std::string& name = registry_->Name(type);
-    if (config_.transforms.Has(name, TypeTransformKind::kPadToLine)) {
+    if (transforms_.Has(name, TypeTransformKind::kPadToLine)) {
       cache.obj_size = (cache.obj_size + line_size_ - 1) / line_size_ * line_size_;
     }
-    cache.line_align = config_.transforms.Has(name, TypeTransformKind::kAlign);
-    cache.pin_home = config_.transforms.Has(name, TypeTransformKind::kPinHome);
+    cache.line_align = transforms_.Has(name, TypeTransformKind::kAlign);
+    cache.pin_home = transforms_.Has(name, TypeTransformKind::kPinHome);
     if (cache.pin_home) {
-      const int socket = config_.transforms.ParamFor(name, TypeTransformKind::kPinHome);
+      const int socket = transforms_.ParamFor(name, TypeTransformKind::kPinHome);
       DPROF_CHECK(socket < machine_->hierarchy().num_sockets());
       cache.pin_socket = socket;
     }
-    if (config_.transforms.Has(name, TypeTransformKind::kRecolor)) {
+    if (transforms_.Has(name, TypeTransformKind::kRecolor)) {
       cache.color_lines = kColorCycle;
     }
   }
@@ -191,8 +206,8 @@ SlabAllocator::KmemCache& SlabAllocator::CacheFor(TypeId type) {
     pc.array_cache_addr = AllocMeta(array_cache_type_, 128);
     // Linux models per-node alien queues with the same array_cache struct.
     pc.alien_addr = AllocMeta(array_cache_type_, 128);
-    pc.magazine.reserve(config_.magazine_capacity + config_.batch_count);
-    pc.alien.reserve(config_.batch_count + 1);
+    pc.magazine.reserve(kMagazineCapacity + kBatchCount);
+    pc.alien.reserve(kBatchCount + 1);
   }
   cache_by_type_.emplace(type, id);
   return caches_[id];
@@ -221,7 +236,7 @@ uint32_t SlabAllocator::GrowCache(CoreContext& ctx, KmemCache& cache, PerCoreCac
       faults->SlabGrowFails(ctx.core(), arena.slabs.size())) {
     return kGrowFailed;
   }
-  if (arena.slabs.size() >= config_.max_slabs_per_arena) {
+  if (arena.slabs.size() >= kMaxSlabsPerArena) {
     // Genuine exhaustion: report instead of aborting. Growth continues into
     // the preallocated emergency reserve so the epoch in flight stays
     // memory-safe; the engine polls status() at the epoch boundary and
@@ -229,14 +244,13 @@ uint32_t SlabAllocator::GrowCache(CoreContext& ctx, KmemCache& cache, PerCoreCac
     std::lock_guard<std::mutex> lk(status_mu_);
     status_.Update(Status(StatusCode::kResourceExhausted, "slab_grow",
                           "core " + std::to_string(ctx.core()) + " arena reached " +
-                              std::to_string(config_.max_slabs_per_arena) +
-                              " slabs (max_slabs_per_arena)"));
+                              std::to_string(kMaxSlabsPerArena) + " slabs"));
   }
   // kAlign pads past the on-slab header to a line boundary; kRecolor sizes
   // the slab for the worst-case color so every colored slab still fits at
   // least one object.
   const uint32_t align_pad =
-      cache.line_align ? (line_size_ - config_.slab_header_size % line_size_) % line_size_ : 0;
+      cache.line_align ? (line_size_ - kSlabHeaderSize % line_size_) % line_size_ : 0;
   const uint32_t color_max = cache.color_lines > 0 ? (cache.color_lines - 1) * line_size_ : 0;
   // kPinHome on a multi-socket hierarchy additionally pins placement: the
   // object run is carved inside one home block of the target socket. Home
@@ -250,18 +264,17 @@ uint32_t SlabAllocator::GrowCache(CoreContext& ctx, KmemCache& cache, PerCoreCac
       pin_placement
           ? static_cast<uint32_t>(home_block * static_cast<uint64_t>(hierarchy.num_sockets()))
           : 0;
-  const uint32_t span =
-      config_.slab_header_size + align_pad + color_max + pin_max + cache.obj_size;
-  const uint32_t num_pages = (span + config_.page_size - 1) / config_.page_size;
-  const uint32_t bytes = num_pages * config_.page_size;
+  const uint32_t span = kSlabHeaderSize + align_pad + color_max + pin_max + cache.obj_size;
+  const uint32_t num_pages = (span + kPageSize - 1) / kPageSize;
+  const uint32_t bytes = num_pages * kPageSize;
 
-  DPROF_CHECK(arena.slabs.size() < config_.max_slabs_per_arena + kEmergencySlabs);
+  DPROF_CHECK(arena.slabs.size() < kMaxSlabsPerArena + kEmergencySlabs);
   const uint32_t slab_id = static_cast<uint32_t>(arena.slabs.size());
   const uint32_t color_off =
       cache.color_lines > 0 ? (slab_id % cache.color_lines) * line_size_ : 0;
   const Addr page_base =
       BumpPages(arena, num_pages, PageInfo{PageInfo::Kind::kSlab, slab_id});
-  uint32_t lead = config_.slab_header_size + align_pad + color_off;
+  uint32_t lead = kSlabHeaderSize + align_pad + color_off;
   uint32_t num_objects = std::max(1u, (bytes - lead) / cache.obj_size);
   if (pin_placement) {
     const int target =
@@ -292,7 +305,7 @@ uint32_t SlabAllocator::GrowCache(CoreContext& ctx, KmemCache& cache, PerCoreCac
   slab.home.assign(num_objects, -1);
 
   // Initialize the on-slab header (type "slab").
-  ctx.Write(fn_grow_, page_base, config_.slab_header_size);
+  ctx.Write(fn_grow_, page_base, kSlabHeaderSize);
   ctx.Compute(fn_grow_, 150);
   pc.partial.push_back(slab_id);
   return slab_id;
@@ -302,7 +315,7 @@ void SlabAllocator::Refill(CoreContext& ctx, KmemCache& cache, PerCoreCache& pc)
   ctx.LockAcquire(*cache.lock, fn_refill_);
   ctx.Compute(fn_refill_, 60);
   Arena& arena = arenas_[ctx.core()];
-  uint32_t want = config_.batch_count;
+  uint32_t want = kBatchCount;
   while (want > 0) {
     if (pc.partial.empty()) {
       if (GrowCache(ctx, cache, pc, /*allow_fault=*/true) == kGrowFailed) {
@@ -348,7 +361,7 @@ void SlabAllocator::ReturnToSlab(KmemCache& cache, Addr obj) {
 void SlabAllocator::FlushMagazine(CoreContext& ctx, KmemCache& cache, PerCoreCache& pc) {
   ctx.LockAcquire(*cache.lock, fn_free_);
   ctx.Compute(fn_free_, 60);
-  for (uint32_t i = 0; i < config_.batch_count && !pc.magazine.empty(); ++i) {
+  for (uint32_t i = 0; i < kBatchCount && !pc.magazine.empty(); ++i) {
     const Addr obj = pc.magazine.front();
     pc.magazine.erase(pc.magazine.begin());
     // free_block() updates the slab descriptor's free count and linkage.
@@ -450,7 +463,7 @@ void SlabAllocator::Free(CoreContext& ctx, Addr addr, FunctionId ip) {
     PerCoreCache& pc = cache.per_core[ctx.core()];
     ctx.Access(fn_free_, pc.array_cache_addr, 16, true);
     pc.magazine.push_back(res.base);
-    if (pc.magazine.size() > config_.magazine_capacity) {
+    if (pc.magazine.size() > kMagazineCapacity) {
       FlushMagazine(ctx, cache, pc);
     }
   } else if (cache.pin_home) {
@@ -465,8 +478,8 @@ void SlabAllocator::Free(CoreContext& ctx, Addr addr, FunctionId ip) {
     } else {
       PerCoreCache& home_pc = cache.per_core[home];
       home_pc.magazine.push_back(res.base);
-      if (home_pc.magazine.size() > config_.magazine_capacity) {
-        for (uint32_t i = 0; i < config_.batch_count && !home_pc.magazine.empty(); ++i) {
+      if (home_pc.magazine.size() > kMagazineCapacity) {
+        for (uint32_t i = 0; i < kBatchCount && !home_pc.magazine.empty(); ++i) {
           const Addr obj = home_pc.magazine.front();
           home_pc.magazine.erase(home_pc.magazine.begin());
           ReturnToSlab(cache, obj);
@@ -481,7 +494,7 @@ void SlabAllocator::Free(CoreContext& ctx, Addr addr, FunctionId ip) {
     PerCoreCache& pc = cache.per_core[ctx.core()];
     ctx.Access(fn_free_, pc.alien_addr, 16, true);
     pc.alien.push_back(AlienEntry{res.base, static_cast<int8_t>(home)});
-    if (pc.alien.size() >= config_.batch_count) {
+    if (pc.alien.size() >= kBatchCount) {
       DrainAlien(ctx, cache, pc);
     }
   }
@@ -510,8 +523,8 @@ void SlabAllocator::DrainAlien(CoreContext& ctx, KmemCache& cache, PerCoreCache&
       continue;
     }
     home_pc.magazine.push_back(entry.obj);
-    if (home_pc.magazine.size() > config_.magazine_capacity) {
-      for (uint32_t i = 0; i < config_.batch_count && !home_pc.magazine.empty(); ++i) {
+    if (home_pc.magazine.size() > kMagazineCapacity) {
+      for (uint32_t i = 0; i < kBatchCount && !home_pc.magazine.empty(); ++i) {
         const Addr obj = home_pc.magazine.front();
         home_pc.magazine.erase(home_pc.magazine.begin());
         // free_block() updates the slab descriptor of the returned object.
@@ -555,7 +568,7 @@ ResolveResult SlabAllocator::Resolve(Addr addr) const {
       out.type = slab_type_;
       out.base = slab.page_base;
       out.offset = static_cast<uint32_t>(addr - slab.page_base);
-      out.size = config_.slab_header_size;
+      out.size = kSlabHeaderSize;
       return out;
     }
     const uint64_t idx = (addr - slab.objs_base) / cache.obj_size;

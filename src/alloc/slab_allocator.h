@@ -64,24 +64,6 @@ struct ResolveResult {
   uint32_t size = 0;
 };
 
-struct SlabConfig {
-  uint32_t page_size = 4096;
-  uint32_t slab_header_size = 64;
-  uint32_t magazine_capacity = 32;  // array_cache entries per core
-  uint32_t batch_count = 16;        // objects moved per refill/flush
-  Addr base_addr = 0x100000000ull;  // start of the simulated heap
-  // Simulated address space per core arena (and for the metadata arena).
-  Addr arena_stride = 256ull * 1024 * 1024;
-  // Upper bound on slabs per arena; storage is preallocated so concurrent
-  // cross-core address resolution never observes a reallocating array.
-  uint32_t max_slabs_per_arena = 8192;
-  // Data-layout transforms applied per type name when its kmem_cache or
-  // static registration is created (see type_transform.h). Empty by
-  // default: an empty or all-identity set leaves every layout decision
-  // byte-identical to the untransformed allocator.
-  TransformSet transforms;
-};
-
 struct AllocatorTypeStats {
   uint64_t allocs = 0;
   uint64_t frees = 0;
@@ -96,7 +78,11 @@ struct AllocatorTypeStats {
 
 class SlabAllocator : public AllocatorIface {
  public:
-  SlabAllocator(Machine* machine, TypeRegistry* registry, const SlabConfig& config = {});
+  // `transforms` are the data-layout transforms applied per type name when
+  // its kmem_cache or static registration is created (see
+  // type_transform.h). An empty or all-identity set leaves every layout
+  // decision byte-identical to the untransformed allocator.
+  SlabAllocator(Machine* machine, TypeRegistry* registry, const TransformSet& transforms = {});
 
   SlabAllocator(const SlabAllocator&) = delete;
   SlabAllocator& operator=(const SlabAllocator&) = delete;
@@ -140,9 +126,9 @@ class SlabAllocator : public AllocatorIface {
   Addr RegisterStaticArray(TypeId type, uint32_t elem_size, uint32_t count, uint32_t stride,
                            std::vector<Addr>* elems);
 
-  // Whether `type` carries `kind` in the configured TransformSet.
+  // Whether `type` carries `kind` in the allocator's TransformSet.
   bool HasTransform(TypeId type, TypeTransformKind kind) const;
-  const TransformSet& transforms() const { return config_.transforms; }
+  const TransformSet& transforms() const { return transforms_; }
   // Cache line size of the attached machine's hierarchy (the unit every
   // transform pads, aligns, or colors by).
   uint32_t line_size() const { return line_size_; }
@@ -229,8 +215,9 @@ class SlabAllocator : public AllocatorIface {
   };
 
   // One core's slice of the simulated heap. `pages` and `slabs` are sized
-  // up front (see SlabConfig) so the owning core can append while other
-  // cores resolve previously published addresses.
+  // up front (see the heap geometry in slab_allocator.cc) so the owning
+  // core can append while other cores resolve previously published
+  // addresses.
   struct Arena {
     Addr base = 0;
     Addr bump = 0;
@@ -264,7 +251,7 @@ class SlabAllocator : public AllocatorIface {
 
   Machine* machine_;
   TypeRegistry* registry_;
-  SlabConfig config_;
+  TransformSet transforms_;
   uint32_t line_size_ = 64;
 
   TypeId slab_type_ = kInvalidType;

@@ -118,9 +118,7 @@ BenchReport RunMicroCosts(const BenchParams& params) {
   {
     auto rig = MakeRig(1, params.seed);
     Machine& machine = *rig->machine;
-    IbsConfig ibs_config;
-    ibs_config.period_ops = 100;
-    IbsUnit ibs(1, ibs_config);
+    IbsUnit ibs(1, 100);
     machine.AddPmuHook(&ibs);
     CoreContext ctx = machine.Context(0);
     const double ns = TimePerOp(Scaled(params.scale, 1'000'000),
@@ -160,14 +158,12 @@ BenchReport RunMicroCosts(const BenchParams& params) {
     report.metrics.push_back({"path_trace_build", ns, "ns/op"});
   }
 
-  const IbsConfig ibs;
   report.metrics.push_back(
-      {"ibs_interrupt_cycles", static_cast<double>(ibs.interrupt_cycles), "cycles"});
-  const DebugRegCostModel debug_costs;
+      {"ibs_interrupt_cycles", static_cast<double>(IbsUnit::kInterruptCycles), "cycles"});
   report.metrics.push_back({"watchpoint_interrupt_cycles",
-                            static_cast<double>(debug_costs.interrupt_cycles), "cycles"});
+                            static_cast<double>(DebugRegCostModel().interrupt_cycles), "cycles"});
   report.metrics.push_back({"debugreg_setup_initiator_cycles",
-                            static_cast<double>(debug_costs.setup_initiator_cycles),
+                            static_cast<double>(DebugRegCostModel::kSetupInitiatorCycles),
                             "cycles"});
   return report;
 }
@@ -428,13 +424,7 @@ BenchReport RunWhatIfSmoke(const BenchParams& params) {
   spec.collect_cycles = Scaled(params.scale, 2'000'000);
 
   const auto start = Clock::now();
-  RunSpec probe = spec;
-  probe.threads = 1;
-  probe.collect_histories = false;
-  probe.build_view_json = false;
-  const ScenarioReport baseline = RunScenario(registry, "memcached", probe);
-  const std::vector<WhatIfCandidate> candidates = AutoCandidates(baseline.profile, 2);
-  const WhatIfReport whatif = RunWhatIf(registry, "memcached", spec, candidates);
+  const WhatIfReport whatif = RunWhatIf(registry, "memcached", spec, {}, 2);
   report.metrics.push_back({"whatif_smoke_seconds", ElapsedNs(start) / 1e9, "s"});
 
   for (const WhatIfOutcome& out : whatif.outcomes) {

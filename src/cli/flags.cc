@@ -18,10 +18,14 @@ constexpr struct {
 } kCommandNames[] = {
     {kRun, "run"}, {kWhatIf, "whatif"}, {kBench, "bench"}, {kCrashtest, "crashtest"}};
 
-// Integer rows hold any uint64_t; int fields saturate so an oversized value
-// still reaches ValidateRunSpec's range check instead of wrapping.
-int SaturatedInt(uint64_t value) {
-  return value > static_cast<uint64_t>(INT_MAX) ? INT_MAX : static_cast<int>(value);
+// Integer rows hold any uint64_t. An int field refuses a value it cannot
+// hold, naming it as typed; ValidateRunSpec range-checks the rest.
+void SetInt(const char* flag, const FlagValue& value, int* field, std::string* error) {
+  if (value.integer > static_cast<uint64_t>(INT_MAX)) {
+    *error = std::string(flag) + " is out of range; got " + value.text;
+    return;
+  }
+  *field = static_cast<int>(value.integer);
 }
 
 // Checks `value->text` against the row's FlagKind and fills in the number.
@@ -85,14 +89,14 @@ const std::vector<FlagSpec>& Flags() {
          o.name = v.text;
        }},
       {"--cores", K::kInteger, kRun | kWhatIf, "N", "simulated cores (default 16)",
-       [](O& o, const V& v, E) { o.spec.cores = SaturatedInt(v.integer); }},
+       [](O& o, const V& v, E error) { SetInt("--cores", v, &o.spec.cores, error); }},
       {"--topology", K::kString, kRun | kWhatIf, "NAME", "paper-amd or big; overrides --cores",
        [](O& o, const V& v, E) { o.spec.topology = v.text; }},
       {"--cycles", K::kPositiveInteger, kRun | kWhatIf, "N", "phase-1 simulated cycles",
        [](O& o, const V& v, E) { o.spec.collect_cycles = v.integer; }},
       {"--threads", K::kInteger, kRun | kWhatIf | kCrashtest, "N",
        "host worker threads (default 0: hardware concurrency)",
-       [](O& o, const V& v, E) { o.spec.threads = SaturatedInt(v.integer); }},
+       [](O& o, const V& v, E error) { SetInt("--threads", v, &o.spec.threads, error); }},
       {"--type", K::kString, kRun | kWhatIf, "NAME",
        "drill-down type (run); the type the next --fix applies to (whatif)",
        [](O& o, const V& v, E) { o.spec.drill_type = v.text; }},
@@ -100,13 +104,19 @@ const std::vector<FlagSpec>& Flags() {
        "repeatable fix for the preceding --type: pad_to_line, align, recolor, replicate, "
        "pin_home[@socket], identity",
        [](O& o, const V& v, E error) {
+         // A --fix takes up the type the preceding --type named; a repeated
+         // --fix reuses the type of the --fix before it.
          WhatIfCandidate candidate{o.spec.drill_type, TypeTransformKind::kIdentity, -1};
+         if (candidate.type.empty() && !o.candidates.empty()) {
+           candidate.type = o.candidates.back().type;
+         }
          if (!ParseTypeTransformSpec(v.text, &candidate.kind, &candidate.param)) {
            *error = "--fix: unknown kind '" + v.text + "' (see dprof help)";
          } else if (candidate.type.empty()) {
            *error = "--fix requires a preceding --type";
          } else {
            o.candidates.push_back(candidate);
+           o.spec.drill_type.clear();
          }
        }},
       {"--auto", K::kSwitch, kWhatIf, "", "search the top profiled types x all fixes",
@@ -183,6 +193,14 @@ bool ParseArgs(Command command, const std::vector<std::string>& args, CliOptions
     }
     flag->set(*options, value, error);
     if (!error->empty()) return false;
+  }
+  // In whatif, --type only names the type of the --fix after it, and that
+  // --fix takes it up: a --type still pending here has no fix to apply.
+  if (command == kWhatIf && !options->spec.drill_type.empty()) {
+    *error = options->auto_search
+                 ? "--type does not apply to --auto, which picks its own types"
+                 : "--type '" + options->spec.drill_type + "' has no --fix after it";
+    return false;
   }
   return true;
 }

@@ -78,8 +78,8 @@ const std::vector<FlagSpec>& Flags();
 // Parses `args` — the tokens after the command word — into `options`. The
 // first token names the scenario (run, whatif) or bench (bench) unless it
 // starts with "--". Returns false with a one-line `*error` on an unknown
-// flag, a flag `command` does not accept, a missing or malformed value, or
-// a setter's error.
+// flag, a flag `command` does not accept, a missing or malformed value, a
+// setter's error, or a whatif --type that no --fix follows.
 bool ParseArgs(Command command, const std::vector<std::string>& args, CliOptions* options,
                std::string* error);
 

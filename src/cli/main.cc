@@ -108,36 +108,19 @@ int CmdWhatIf(const CliOptions& options) {
   if (error.empty() && options.auto_search == !options.candidates.empty()) {
     error = "whatif needs either --auto or at least one --type/--fix pair";
   }
-  // Here --type only names the type the next --fix applies to; the runs
-  // themselves drill into nothing.
-  RunSpec spec = options.spec;
-  spec.drill_type.clear();
   ScenarioRegistry& registry = ScenarioRegistry::Default();
   if (error.empty()) {
-    error = ValidateWhatIf(registry, options.name, spec, options.candidates, options.top);
+    error = ValidateWhatIf(registry, options.name, options.spec, options.candidates, options.top);
   }
   if (!error.empty()) return Fail(error);
 
-  std::vector<WhatIfCandidate> candidates = options.candidates;
-  if (options.auto_search) {
-    // Seed the search with the baseline's top profiled types: a cheap
-    // profile-only run (reused as the diff baseline inside RunWhatIf would
-    // need identical shape, so we just pick types here and let RunWhatIf
-    // re-measure under measurement settings).
-    RunSpec probe = spec;
-    probe.build_view_json = false;
-    probe.collect_histories = false;
-    probe.threads = 1;
-    const ScenarioReport baseline = RunScenario(registry, options.name, probe);
-    candidates = AutoCandidates(baseline.profile, options.top, baseline.num_sockets);
-    if (candidates.empty()) {
-      std::fprintf(stderr, "dprof: scenario '%s' produced no profiled types\n",
-                   options.name.c_str());
-      return 1;
-    }
+  const WhatIfReport report = RunWhatIf(registry, options.name, options.spec, options.candidates,
+                                        options.auto_search ? options.top : 0);
+  if (options.auto_search && report.outcomes.empty()) {
+    std::fprintf(stderr, "dprof: scenario '%s' produced no profiled types\n",
+                 options.name.c_str());
+    return 1;
   }
-
-  const WhatIfReport report = RunWhatIf(registry, options.name, spec, candidates);
   if (options.json) {
     std::printf("%s\n", WhatIfReportToJson(report).c_str());
     return 0;

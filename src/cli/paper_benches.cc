@@ -390,15 +390,14 @@ std::vector<std::pair<WorkloadFactory, HistoryBenchConfig>> PaperHistoryRows(boo
 // The paper collected 32-80 sets per type over minutes of wall time; this
 // collects fewer sets. Times scale linearly in sets; rates and overheads
 // compare directly.
-std::string Table67() {
+std::string Table67(const std::vector<HistoryBenchResult>& results) {
   std::string out;
   AppendHeader(&out, "Table 6.7: object access history collection time and overhead",
                "Pesterev 2010, Table 6.7");
   TablePrinter table({"Benchmark", "Data Type", "Size (bytes)", "Histories", "Sets",
                       "Time (s)", "Overhead (%)"});
   table.SetAlign(1, TablePrinter::Align::kLeft);
-  for (const auto& [factory, config] : PaperHistoryRows(false)) {
-    const HistoryBenchResult r = RunHistoryBench(factory, config);
+  for (const HistoryBenchResult& r : results) {
     table.AddRow({r.benchmark, r.type_name, TablePrinter::Count(r.object_size),
                   TablePrinter::Count(r.histories), TablePrinter::Count(r.sets),
                   TablePrinter::Fixed(r.collection_seconds, 2),
@@ -419,14 +418,13 @@ std::string Table67() {
 // Table 6.8: average history collection rates. Paper shape: short-lived hot
 // types (Apache skbuff_fclone: 4600 histories/s) collect orders of
 // magnitude faster than long-residency buffers (memcached size-1024: 53/s).
-std::string Table68() {
+std::string Table68(const std::vector<HistoryBenchResult>& results) {
   std::string out;
   AppendHeader(&out, "Table 6.8: history collection rates", "Pesterev 2010, Table 6.8");
   TablePrinter table({"Benchmark", "Data Type", "Elements per History",
                       "Histories per Second", "Elements per Second"});
   table.SetAlign(1, TablePrinter::Align::kLeft);
-  for (const auto& [factory, config] : PaperHistoryRows(false)) {
-    const HistoryBenchResult r = RunHistoryBench(factory, config);
+  for (const HistoryBenchResult& r : results) {
     table.AddRow({r.benchmark, r.type_name, TablePrinter::Fixed(r.elements_per_history, 1),
                   TablePrinter::Fixed(r.histories_per_second, 0),
                   TablePrinter::Fixed(r.elements_per_second, 0)});
@@ -447,16 +445,15 @@ std::string Table68() {
 // debug-register interrupts, reserving the object with the memory
 // subsystem, and the cross-core setup broadcast. Paper shape: the broadcast
 // dominates skbuff_fclone (90%); skbuff pays mostly interrupts (60%).
-std::string Table69() {
+std::string Table69(const std::vector<HistoryBenchResult>& results) {
   std::string out;
   AppendHeader(&out, "Table 6.9: history overhead breakdown (Apache data types)",
                "Pesterev 2010, Table 6.9");
   TablePrinter table({"Data Type", "Interrupts", "Memory", "Communication"});
-  for (const auto& [factory, config] : PaperHistoryRows(false)) {
-    if (config.benchmark != "Apache") {
+  for (const HistoryBenchResult& r : results) {
+    if (r.benchmark != "Apache") {
       continue;
     }
-    const HistoryBenchResult r = RunHistoryBench(factory, config);
     const double total = static_cast<double>(r.breakdown.Total());
     table.AddRow(
         {r.type_name,
@@ -475,6 +472,16 @@ std::string Table69() {
   StringAppendF(&out, "the initiating core per setup broadcast (220,000 total); 20,000 cycles\n");
   StringAppendF(&out, "to reserve an object with the memory subsystem (paper §6.4).\n");
   return out;
+}
+
+// Tables 6.7, 6.8 and 6.9 read one set of collection results, measured once
+// per (benchmark, type) row.
+std::string Tables67To69() {
+  std::vector<HistoryBenchResult> results;
+  for (const auto& [factory, config] : PaperHistoryRows(false)) {
+    results.push_back(RunHistoryBench(factory, config));
+  }
+  return Table67(results) + Table68(results) + Table69(results);
 }
 
 // Table 6.10: history collection with pairwise sampling. Every pair of
@@ -898,10 +905,9 @@ void RegisterPaperBenches(BenchRegistry& registry) {
       {"table_6_4_6_5_apache_profile",
        "paper Tables 6.4/6.5: Apache profiles at peak and drop-off", Table64And65},
       {"table_6_6_lockstat_apache", "paper Table 6.6: lock-stat under Apache", Table66},
-      {"table_6_7_history_collection", "paper Table 6.7: history collection time and overhead",
-       Table67},
-      {"table_6_8_history_rates", "paper Table 6.8: history collection rates", Table68},
-      {"table_6_9_overhead_breakdown", "paper Table 6.9: history overhead breakdown", Table69},
+      {"table_6_7_6_8_6_9_history",
+       "paper Tables 6.7/6.8/6.9: history collection times, rates and overhead breakdown",
+       Tables67To69},
       {"table_6_10_pairwise", "paper Table 6.10: pairwise-sampling collection", Table610},
       {"figure_6_1_dataflow_skbuff", "paper Figure 6-1: skbuff data flow view", Figure61},
       {"figure_6_2_ibs_overhead", "paper Figure 6-2: IBS overhead vs sampling rate", Figure62},

@@ -88,8 +88,8 @@ struct RunSpec {
   // while a mailbox-fed type's histories are collected). Stats-equivalence
   // tests turn this off to compare against fixed-epoch baselines.
   bool adaptive_epoch_focus = true;
-  // Data-layout transforms the allocator applies per type name
-  // (SlabConfig::transforms) — the whatif engine's experimental variable.
+  // Data-layout transforms the SlabAllocator applies per type name — the
+  // whatif engine's experimental variable.
   TransformSet transforms;
   // Workload-logic fixes that are not expressible as layout transforms,
   // promoted from ad-hoc workload config booleans:

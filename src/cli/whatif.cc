@@ -78,10 +78,15 @@ std::string ValidateWhatIf(const ScenarioRegistry& registry, const std::string& 
 }
 
 WhatIfReport RunWhatIf(const ScenarioRegistry& registry, const std::string& scenario,
-                       const RunSpec& base_spec,
-                       const std::vector<WhatIfCandidate>& candidates) {
+                       const RunSpec& base_spec, std::vector<WhatIfCandidate> candidates,
+                       size_t auto_top) {
   const RunSpec baseline_spec = MeasurementSpec(base_spec);
   const ScenarioReport baseline = RunScenario(registry, scenario, baseline_spec);
+  if (auto_top > 0) {
+    const std::vector<WhatIfCandidate> found =
+        AutoCandidates(baseline.profile, auto_top, baseline.num_sockets);
+    candidates.insert(candidates.end(), found.begin(), found.end());
+  }
 
   WhatIfReport report;
   report.scenario = baseline.scenario;

@@ -88,9 +88,14 @@ std::string ValidateWhatIf(const ScenarioRegistry& registry, const std::string& 
 // transforms are the baseline's. Measurement runs disable phase-2 history
 // collection and view JSON so the throughput diff only sees the workload.
 // `base_spec.threads` sets the host-parallel candidate fan-out (0 = hardware
-// concurrency); each experiment itself runs single-threaded.
+// concurrency); each experiment itself runs single-threaded. The
+// experiments are `candidates` plus, when `auto_top` > 0, the --auto
+// search: AutoCandidates over the top `auto_top` types of this run's own
+// baseline profile, on its socket count. A baseline that profiled no types
+// leaves that search, and so possibly the report's outcomes, empty.
 WhatIfReport RunWhatIf(const ScenarioRegistry& registry, const std::string& scenario,
-                       const RunSpec& base_spec, const std::vector<WhatIfCandidate>& candidates);
+                       const RunSpec& base_spec, std::vector<WhatIfCandidate> candidates,
+                       size_t auto_top = 0);
 
 // Ranked human-readable table.
 std::string WhatIfReportToTable(const WhatIfReport& report);

@@ -4,8 +4,14 @@
 
 namespace dprof {
 
-AddressSet::AddressSet(const AddressSetOptions& options)
-    : options_(options), rng_(options.seed) {
+namespace {
+
+// Seeds the reservoir-sampling stream.
+constexpr uint64_t kSeed = 0x5eed;
+
+}  // namespace
+
+AddressSet::AddressSet(const AddressSetOptions& options) : options_(options), rng_(kSeed) {
   // Hot path: one insert per allocation and one erase per free.
   live_alloc_time_.reserve(1 << 16);
 }

@@ -6,6 +6,16 @@
 
 namespace dprof {
 
+namespace {
+
+// Guard for long-lived objects: a monitored object is abandoned once it has
+// been watched this many cycles.
+constexpr uint64_t kMaxMonitorCycles = 50'000'000;
+// Seeds the arm-skip stream.
+constexpr uint64_t kSeed = 0xdeb6;
+
+}  // namespace
+
 HistoryCollector::HistoryCollector(Machine* machine, DebugRegisterFile* regs, TypeId type,
                                    uint32_t object_size, const HistoryCollectorOptions& options,
                                    SlabAllocator* allocator)
@@ -15,7 +25,7 @@ HistoryCollector::HistoryCollector(Machine* machine, DebugRegisterFile* regs, Ty
       object_size_(object_size),
       options_(options),
       allocator_(allocator),
-      rng_(options.seed) {
+      rng_(kSeed) {
   DPROF_CHECK(options_.granularity >= 1 &&
               options_.granularity <= DebugRegisterFile::kMaxWatchBytes);
   if (!options_.member_offsets.empty()) {
@@ -44,7 +54,7 @@ void HistoryCollector::OnAlloc(TypeId type, Addr base, uint32_t size, int core, 
   // monitored offset has gone cold (or that is never freed) must not stall
   // the sweep forever.
   if (monitoring_ && now > current_.alloc_time &&
-      now - current_.alloc_time > options_.max_monitor_cycles) {
+      now - current_.alloc_time > kMaxMonitorCycles) {
     FinishMonitoring(false);
   }
   if (type != type_ || monitoring_ || done()) {
@@ -78,17 +88,16 @@ void HistoryCollector::BeginMonitoring(Addr base, int core, uint64_t now) {
   current_.num_watch = 1;
 
   // Reserve the object with the memory subsystem.
-  const DebugRegCostModel& costs = regs_->costs();
-  machine_->ChargeCycles(core, costs.reserve_cycles);
-  overhead_.reserve_cycles += costs.reserve_cycles;
+  machine_->ChargeCycles(core, DebugRegCostModel::kReserveCycles);
+  overhead_.reserve_cycles += DebugRegCostModel::kReserveCycles;
 
   // Broadcast debug-register setup to every core.
-  machine_->ChargeCycles(core, costs.setup_initiator_cycles);
-  overhead_.comm_cycles += costs.setup_initiator_cycles;
+  machine_->ChargeCycles(core, DebugRegCostModel::kSetupInitiatorCycles);
+  overhead_.comm_cycles += DebugRegCostModel::kSetupInitiatorCycles;
   for (int c = 0; c < machine_->num_cores(); ++c) {
     if (c != core) {
-      machine_->ChargeCycles(c, costs.setup_ipi_cycles);
-      overhead_.comm_cycles += costs.setup_ipi_cycles;
+      machine_->ChargeCycles(c, DebugRegCostModel::kSetupIpiCycles);
+      overhead_.comm_cycles += DebugRegCostModel::kSetupIpiCycles;
     }
   }
 
@@ -123,7 +132,7 @@ void HistoryCollector::OnDebugHit(const AccessEvent& event, int reg) {
   ++overhead_.elements_recorded;
 
   if (current_.elements.size() >= options_.max_elements_per_history ||
-      elem.time > options_.max_monitor_cycles) {
+      elem.time > kMaxMonitorCycles) {
     FinishMonitoring(false);
   }
 }
@@ -181,10 +190,10 @@ void HistoryCollector::Poll(uint64_t now) {
   // Timeout for a stale in-flight object; with no allocation events for any
   // type, OnAlloc's timeout check never runs, so it must also live here.
   if (monitoring_ && now > current_.alloc_time &&
-      now - current_.alloc_time > options_.max_monitor_cycles) {
+      now - current_.alloc_time > kMaxMonitorCycles) {
     FinishMonitoring(false);
   }
-  if (!options_.arm_live_objects || allocator_ == nullptr || monitoring_ || done()) {
+  if (allocator_ == nullptr || monitoring_ || done()) {
     return;
   }
   if (alloc_events_seen_ > 0 || now < earliest_arm_) {

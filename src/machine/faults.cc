@@ -95,7 +95,7 @@ bool FaultPlan::SlabGrowFails(int core, uint64_t slab_ordinal) {
   }
   const uint64_t h = Mix(config_.seed ^ Salt(FaultSeam::kSlabGrow) ^
                          (slab_ordinal << 8) ^ static_cast<uint64_t>(core));
-  if (h % config_.slab_grow_period != 0) {
+  if (h % kSlabGrowPeriod != 0) {
     return false;
   }
   NoteInjected(FaultSeam::kSlabGrow);
@@ -110,7 +110,7 @@ LaneFault FaultPlan::LaneFaultFor(int core, uint64_t t, Addr addr) {
   }
   const uint64_t h = Mix(config_.seed ^ Salt(FaultSeam::kLaneDrop) ^ (addr << 6) ^
                          (t << 1) ^ static_cast<uint64_t>(core));
-  if (h % config_.lane_period != 0) {
+  if (h % kLanePeriod != 0) {
     return LaneFault::kNone;
   }
   // Both seams on: the hash picks which fault this record suffers.
@@ -122,12 +122,12 @@ LaneFault FaultPlan::LaneFaultFor(int core, uint64_t t, Addr addr) {
 }
 
 uint32_t FaultPlan::ClockSkew(int core, uint64_t epoch) {
-  if (!enabled(FaultSeam::kClockSkew) || config_.skew_max_cycles == 0) {
+  if (!enabled(FaultSeam::kClockSkew)) {
     return 0;
   }
   const uint64_t h = Mix(config_.seed ^ Salt(FaultSeam::kClockSkew) ^ (epoch << 5) ^
                          static_cast<uint64_t>(core));
-  const uint32_t skew = static_cast<uint32_t>(h % config_.skew_max_cycles);
+  const uint32_t skew = static_cast<uint32_t>(h % kSkewMaxCycles);
   if (skew != 0) {
     NoteInjected(FaultSeam::kClockSkew);
     NoteRecovered(FaultSeam::kClockSkew);
@@ -139,9 +139,8 @@ void FaultPlan::ApplyToHierarchy(HierarchyConfig* config) {
   if (!enabled(FaultSeam::kExtBankPressure)) {
     return;
   }
-  const uint32_t ways = config_.ext_ways_override > 0 ? config_.ext_ways_override : 1;
-  if (ways < config->l3_dir_ext_ways) {
-    config->l3_dir_ext_ways = ways;
+  if (kPressureExtWays < config->l3_dir_ext_ways) {
+    config->l3_dir_ext_ways = kPressureExtWays;
     NoteInjected(FaultSeam::kExtBankPressure);
   }
 }
@@ -167,7 +166,7 @@ bool FaultPlan::WindowJitterFires(uint64_t period) {
 }
 
 int FaultPlan::CorruptionAtAudit(uint64_t audit) {
-  if (!enabled(FaultSeam::kLatticeCorrupt) || audit < config_.corrupt_from_audit) {
+  if (!enabled(FaultSeam::kLatticeCorrupt) || audit < kCorruptFromAudit) {
     return -1;
   }
   const uint64_t h = Mix(config_.seed ^ Salt(FaultSeam::kLatticeCorrupt) ^ audit);
@@ -176,7 +175,7 @@ int FaultPlan::CorruptionAtAudit(uint64_t audit) {
 }
 
 bool FaultPlan::StallsEpoch(uint64_t epoch) {
-  if (!enabled(FaultSeam::kEpochStall) || epoch < config_.stall_after_epochs) {
+  if (!enabled(FaultSeam::kEpochStall) || epoch < kStallAfterEpochs) {
     return false;
   }
   NoteInjected(FaultSeam::kEpochStall);

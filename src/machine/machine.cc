@@ -125,7 +125,7 @@ AccessResult CoreContext::Access(FunctionId ip, Addr addr, uint32_t size, bool i
     // dispatch them to the watching hook.
     CoreRecorder& rec = *recorder_;
     const uint32_t l1_latency = m.config_.hierarchy.latency.l1;
-    const uint32_t raw_cost = m.config_.base_op_cost + l1_latency;
+    const uint32_t raw_cost = Machine::kBaseOpCost + l1_latency;
     const uint32_t write_bit = is_write ? CoreRecorder::kWriteBit : 0u;
     // Locals: the column stores below may alias the recorder's fields.
     const bool ff = rec.ff;
@@ -148,8 +148,7 @@ AccessResult CoreContext::Access(FunctionId ip, Addr addr, uint32_t size, bool i
       } else {
         const uint64_t est = rec.ChargeFf(raw_cost);
         if (at < ff_hi && at + chunk > ff_lo) {
-          const uint64_t extra =
-              est > m.config_.base_op_cost ? est - m.config_.base_op_cost : 0;
+          const uint64_t extra = est > Machine::kBaseOpCost ? est - Machine::kBaseOpCost : 0;
           rec.PushAccess(t, at, chunk | write_bit,
                          CoreRecorder::PackResult(static_cast<uint32_t>(extra),
                                                   ServedBy::kL1, false),
@@ -173,7 +172,7 @@ AccessResult CoreContext::Access(FunctionId ip, Addr addr, uint32_t size, bool i
     const uint32_t line_room = static_cast<uint32_t>(line_size - (at & (line_size - 1)));
     const uint32_t chunk = remaining < line_room ? remaining : line_room;
     const AccessResult r = m.hierarchy_.Access(core_, at, chunk, is_write, now());
-    m.clocks_[core_] += m.config_.base_op_cost + r.latency;
+    m.clocks_[core_] += Machine::kBaseOpCost + r.latency;
 
     total.latency += r.latency;
     total.level = std::max(total.level, r.level);

@@ -18,17 +18,18 @@ namespace dprof {
 
 // Cycle costs measured in the paper (§6.4, Table 6.9).
 struct DebugRegCostModel {
-  // Cost of taking one watchpoint interrupt and saving a history element.
-  uint64_t interrupt_cycles = 1000;
   // Cost on the core that initiates debug-register setup for a new object
   // (dominated by IPIs to all other cores).
-  uint64_t setup_initiator_cycles = 130000;
+  static constexpr uint64_t kSetupInitiatorCycles = 130000;
   // Cost on each other core to handle the setup IPI. The paper reports a
   // ~220,000 cycle total setup cost, of which 130k is the initiator.
-  uint64_t setup_ipi_cycles = 6000;
+  static constexpr uint64_t kSetupIpiCycles = 6000;
   // Cost to reserve a newly allocated object for profiling with the memory
   // subsystem.
-  uint64_t reserve_cycles = 20000;
+  static constexpr uint64_t kReserveCycles = 20000;
+
+  // Cost of taking one watchpoint interrupt and saving a history element.
+  uint64_t interrupt_cycles = 1000;
 };
 
 class DebugRegisterFile final : public PmuHook {

@@ -559,7 +559,7 @@ ServedBy CacheHierarchy::AccessLine(int core, uint64_t line, uint64_t now,
     level = ServedBy::kForeignCache;
     const int owner = meta->owner;
     if (socket_mask_ != 0 && SocketOfCore(owner) != my_socket) {
-      *extra_latency += config_.latency.interconnect;
+      *extra_latency += LatencyModel::kInterconnect;
       *remote = true;
     }
     meta->owner = -1;
@@ -591,7 +591,7 @@ ServedBy CacheHierarchy::AccessLine(int core, uint64_t line, uint64_t now,
     l3_stamps_[set_base + slot] = now;
     promote = false;
     if (remote_home) {
-      *extra_latency += config_.latency.interconnect;
+      *extra_latency += LatencyModel::kInterconnect;
       *remote = true;
     }
   } else if (others != 0) {
@@ -600,13 +600,13 @@ ServedBy CacheHierarchy::AccessLine(int core, uint64_t line, uint64_t now,
     level = ServedBy::kForeignCache;
     const int supplier = __builtin_ctzll(others);
     if (socket_mask_ != 0 && SocketOfCore(supplier) != my_socket) {
-      *extra_latency += config_.latency.interconnect;
+      *extra_latency += LatencyModel::kInterconnect;
       *remote = true;
     }
   } else {
     level = ServedBy::kDram;
     if (remote_home) {
-      *extra_latency += config_.latency.interconnect;
+      *extra_latency += LatencyModel::kInterconnect;
       *remote = true;
     }
   }

@@ -37,7 +37,7 @@
 // lines share one home socket: the engine can hand whole sockets' worth of
 // shards to one worker. Accesses served by a remote home slice, or by a
 // supplier core on another socket (including the foreign-read downgrade),
-// pay LatencyModel::interconnect per line and count as remote_fills;
+// pay LatencyModel::kInterconnect per line and count as remote_fills;
 // reclaim back-invalidations crossing a socket boundary count as
 // cross_socket_back_invalidations. num_sockets == 1 degenerates to the flat
 // SMP exactly.
@@ -84,7 +84,7 @@ struct LatencyModel {
   // L3/DRAM fill whose home slice is remote, or a cache-to-cache transfer
   // (including the foreign-read downgrade) whose supplier core is remote.
   // Never charged on single-socket machines.
-  uint32_t interconnect = 100;
+  static constexpr uint32_t kInterconnect = 100;
 
   uint32_t Of(ServedBy level) const;
 };

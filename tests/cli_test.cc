@@ -139,10 +139,9 @@ TEST(BenchRegistryTest, PaperReproductionsAreRegistered) {
   for (const char* name :
        {"table_6_1_memcached_profile", "table_6_2_lockstat_memcached",
         "table_6_3_oprofile_memcached", "table_6_4_6_5_apache_profile",
-        "table_6_6_lockstat_apache", "table_6_7_history_collection", "table_6_8_history_rates",
-        "table_6_9_overhead_breakdown", "table_6_10_pairwise", "figure_6_1_dataflow_skbuff",
-        "figure_6_2_ibs_overhead", "figure_6_3_unique_paths", "ablation_pairwise",
-        "ablation_sampling_rate"}) {
+        "table_6_6_lockstat_apache", "table_6_7_6_8_6_9_history", "table_6_10_pairwise",
+        "figure_6_1_dataflow_skbuff", "figure_6_2_ibs_overhead", "figure_6_3_unique_paths",
+        "ablation_pairwise", "ablation_sampling_rate"}) {
     EXPECT_NE(registry.Find(name), nullptr) << name;
   }
 }
@@ -305,6 +304,39 @@ TEST(FlagTableTest, SettersWriteTheRunSpec) {
   EXPECT_EQ(whatif.candidates[1].Label(), "b:pin_home@2");
 }
 
+// In whatif, --type only names the type of the --fix after it: a repeated
+// --fix reuses it, and a --type no --fix takes up is an error, with or
+// without --auto.
+TEST(FlagTableTest, WhatIfTypeNeedsAFix) {
+  CliOptions options;
+  ASSERT_EQ(Parse(kWhatIf, {"m", "--type", "a", "--fix", "align", "--fix", "recolor"}, &options),
+            "");
+  ASSERT_EQ(options.candidates.size(), 2u);
+  EXPECT_EQ(options.candidates[0].Label(), "a:align");
+  EXPECT_EQ(options.candidates[1].Label(), "a:recolor");
+  EXPECT_EQ(options.spec.drill_type, "");
+
+  EXPECT_NE(Parse(kWhatIf, {"m", "--type", "a", "--fix", "align", "--type", "b"}).find("'b'"),
+            std::string::npos);
+  EXPECT_NE(Parse(kWhatIf, {"m", "--auto", "--type", "a"}).find("--auto"), std::string::npos);
+  EXPECT_NE(Parse(kWhatIf, {"m", "--type", "a", "--auto"}), "");
+  // run's --type is its drill-down type and needs no --fix.
+  EXPECT_EQ(Parse(kRun, {"m", "--type", "a"}), "");
+}
+
+// An int flag refuses a value past INT_MAX and names it as typed.
+TEST(FlagTableTest, OversizedIntNamesTheTypedValue) {
+  for (const char* flag : {"--cores", "--threads"}) {
+    const std::string error = Parse(kRun, {flag, "99999999999999"});
+    EXPECT_NE(error.find(flag), std::string::npos) << error;
+    EXPECT_NE(error.find("99999999999999"), std::string::npos) << error;
+    EXPECT_EQ(error.find("2147483647"), std::string::npos) << error;
+  }
+  CliOptions options;
+  EXPECT_EQ(Parse(kRun, {"--threads", "2147483647"}, &options), "");
+  EXPECT_EQ(options.spec.threads, 2147483647);
+}
+
 // Numbers mean what the parser says: no sign, no wrap-around, no infinity.
 TEST(FlagTableTest, MalformedNumbersAreRejected) {
   for (const std::vector<std::string>& args : std::vector<std::vector<std::string>>{
@@ -346,6 +378,9 @@ TEST(FlagTableTest, ErrorMessagesNameExistingFlags) {
       Parse(kWhatIf, {"--fix", "align"}),
       Parse(kWhatIf, {"--type", "t", "--fix", "bogus"}),
       Parse(kRun, {"a", "--scenario", "b"}),
+      Parse(kWhatIf, {"m", "--type", "t"}),
+      Parse(kWhatIf, {"m", "--auto", "--type", "t"}),
+      Parse(kRun, {"--cores", "99999999999999"}),
   };
   const auto invalid = [](auto mutate) {
     RunSpec spec;

@@ -103,9 +103,7 @@ std::vector<Recorded> RunMixed(int threads, IbsUnit* ibs, std::vector<uint64_t>*
 TEST(EventSinkTest, PerEventDeliveryFollowsProgramOrderUnderIbsSplits) {
   // An enabled IBS unit forces mid-segment dispatch points, so sampled
   // accesses commit through DispatchAccess between whole-segment runs.
-  IbsConfig ibs_config;
-  ibs_config.period_ops = 64;
-  IbsUnit ibs(4, ibs_config);
+  IbsUnit ibs(4, 64);
   std::vector<uint64_t> steps;
   const std::vector<Recorded> stream = RunMixed(1, &ibs, &steps);
   ASSERT_FALSE(stream.empty());
@@ -144,10 +142,8 @@ TEST(EventSinkTest, ObserverIdenticalAcrossThreadCounts) {
 TEST(EventSinkTest, IbsQuietSkipMatchesPerOpCountdown) {
   // Feeding one unit per-op and its twin through QuietOps/OnQuietAccessBatch
   // chunks must sample the same ops and charge the same cycles.
-  IbsConfig config;
-  config.period_ops = 50;
-  IbsUnit per_op(1, config);
-  IbsUnit batched(1, config);
+  IbsUnit per_op(1, 50);
+  IbsUnit batched(1, 50);
   std::vector<int> fired_per_op;
   std::vector<int> fired_batched;
   per_op.SetHandler([&](const IbsSample& s) { fired_per_op.push_back(static_cast<int>(s.now)); });

@@ -280,7 +280,7 @@ TEST(HierarchyTest, NumaRemoteHomeFillChargesInterconnect) {
   // Remote-home DRAM fill: the next block's home slice is socket 1.
   const AccessResult remote = h.Access(0, block, 8, false, 2);
   EXPECT_EQ(remote.level, ServedBy::kDram);
-  EXPECT_EQ(remote.latency, h.config().latency.dram + h.config().latency.interconnect);
+  EXPECT_EQ(remote.latency, h.config().latency.dram + LatencyModel::kInterconnect);
   EXPECT_EQ(h.remote_fills(), 1u);
   EXPECT_EQ(h.core_stats(0).remote_fills, 1u);
 }
@@ -299,7 +299,7 @@ TEST(HierarchyTest, NumaCrossSocketDirtyTransferChargesInterconnect) {
   cross.Access(0, 0x2000, 8, true, 1);
   const AccessResult r_cross = cross.Access(2, 0x2000, 8, false, 2);
   EXPECT_EQ(r_cross.level, ServedBy::kForeignCache);
-  EXPECT_EQ(r_cross.latency, r_same.latency + cross.config().latency.interconnect);
+  EXPECT_EQ(r_cross.latency, r_same.latency + LatencyModel::kInterconnect);
   EXPECT_EQ(same.remote_fills(), 0u);
   EXPECT_EQ(cross.remote_fills(), 1u);
 }

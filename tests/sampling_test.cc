@@ -230,7 +230,7 @@ class FastForwardHookTest : public ::testing::Test {
     bool ff = false;
   };
 
-  FastForwardHookTest() : machine_(Config()), ibs_(1, IbsConfig{64}) {
+  FastForwardHookTest() : machine_(Config()), ibs_(1, 64) {
     machine_.SetDriver(0, &driver_);
     DebugRegCostModel costs;
     costs.interrupt_cycles = 50;
@@ -297,7 +297,7 @@ TEST_F(FastForwardHookTest, WatchpointFiresAndChargesInFastForwardEpochs) {
   // Each hit's interrupt lands on the core's clock before its next access:
   // consecutive hits sit exactly one step plus one interrupt apart.
   ASSERT_EQ(hits_.size(), driver_.touches);
-  const uint64_t step = machine_.config().base_op_cost + kComputeCycles +
+  const uint64_t step = Machine::kBaseOpCost + kComputeCycles +
                         watch_.costs().interrupt_cycles;
   for (size_t k = 1; k < hits_.size(); ++k) {
     ASSERT_EQ(hits_[k].now - hits_[k - 1].now, step + hits_[k].latency) << "hit " << k;

@@ -125,6 +125,33 @@ TEST(WhatIfTest, PadToLineOnAliasedTypeYieldsPositiveGain) {
   EXPECT_NE(table.find("pad_to_line"), std::string::npos);
 }
 
+// --auto picks its candidates from RunWhatIf's own baseline: the report
+// equals the one a separate probe run, AutoCandidates over the probe's
+// profile and an explicit-candidate RunWhatIf produce. The multi-socket
+// topology makes pin_home expand per socket, so the socket count is
+// carried over too.
+TEST(WhatIfTest, AutoSearchMatchesProbeThenCandidates) {
+  ScenarioRegistry& registry = ScenarioRegistry::Default();
+  RunSpec spec;
+  spec.topology = "paper-amd";
+  spec.collect_cycles = 500'000;
+  spec.threads = 2;
+
+  RunSpec probe = spec;
+  probe.build_view_json = false;
+  probe.collect_histories = false;
+  probe.threads = 1;
+  const ScenarioReport baseline = RunScenario(registry, "conflict_demo", probe);
+  const std::vector<WhatIfCandidate> candidates =
+      AutoCandidates(baseline.profile, 1, baseline.num_sockets);
+  ASSERT_GT(candidates.size(), AllTypeTransformKinds().size());
+
+  const WhatIfReport explicit_report = RunWhatIf(registry, "conflict_demo", spec, candidates);
+  const WhatIfReport auto_report = RunWhatIf(registry, "conflict_demo", spec, {}, 1);
+  EXPECT_EQ(auto_report.outcomes.size(), candidates.size());
+  EXPECT_EQ(WhatIfReportToJson(auto_report), WhatIfReportToJson(explicit_report));
+}
+
 TEST(WhatIfTest, AutoCandidatesCrossTopTypesWithCatalog) {
   std::vector<ScenarioProfileRow> profile(3);
   profile[0].type = "size-1024";
